@@ -570,7 +570,9 @@ int write_substrate_report(const std::string& path) {
       for (std::size_t i = 0; i < kCacheTenants; ++i) {
         svc::StudySpec spec;
         spec.name = stem + std::to_string(i);
-        spec.pool = "p";
+        // Move-assigned: GCC 12 flags the const char* overload here with a
+        // false -Wrestrict.
+        spec.pool = std::string("p");
         spec.num_configs = kCacheTrials;
         spec.seed = 100 + i;
         spec.noise.eval_clients = kCacheClients / 2;

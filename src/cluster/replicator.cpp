@@ -1,20 +1,11 @@
 #include "cluster/replicator.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "cluster/replica_store.hpp"
-#include "net/frame.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedtune::cluster {
@@ -25,18 +16,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 // "ok acked=N" / "ok offset=N" → N; nullopt on anything else (including a
@@ -56,6 +35,28 @@ std::optional<std::uint64_t> parse_u64_field(std::string_view response,
 }
 
 }  // namespace
+
+void JournalReplicator::Peer::push(const std::string& study, Item item) {
+  queues[study].items.push_back(std::move(item));
+  busy.insert(study);
+  ++queued;
+}
+
+void JournalReplicator::Peer::reset(const std::string& study) {
+  StudyQueue& q = queues[study];
+  queued -= q.items.size();
+  q.items.clear();
+  ++q.generation;
+  busy.erase(study);
+}
+
+void JournalReplicator::Peer::pop(const std::string& study, std::size_t n) {
+  StudyQueue& q = queues[study];
+  n = std::min(n, q.items.size());
+  q.items.erase(q.items.begin(), q.items.begin() + static_cast<long>(n));
+  queued -= n;
+  if (q.items.empty()) busy.erase(study);
+}
 
 JournalReplicator::JournalReplicator(Roster roster, ReplicatorOptions opts)
     : placement_(std::move(roster), opts.vnodes_per_member),
@@ -101,17 +102,19 @@ void JournalReplicator::on_mutation(const std::string& study,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return;
-    Peer& peer = peers_[target->id];
-    peer.member = *target;
-    StudyQueue& q = peer.queues[study];
+    // The roster is static, so a peer's member is written once, here; the
+    // worker reads it unlocked (ensure_connected) after finding the peer
+    // under this mutex.
+    const auto [it, inserted] = peers_.try_emplace(target->id);
+    Peer& peer = it->second;
+    if (inserted) peer.member = *target;
     if (m.kind == service::JournalMutation::Kind::kRewrite) {
       // The whole file changed (initial sync, compaction): everything queued
       // before it is obsolete.
-      q.items.clear();
-      ++q.generation;
-      q.items.push_back(Item{true, 0, m.bytes});
+      peer.reset(study);
+      peer.push(study, Item{true, 0, m.bytes});
     } else {
-      q.items.push_back(Item{false, m.offset, m.bytes});
+      peer.push(study, Item{false, m.offset, m.bytes});
     }
     update_queue_gauge_locked();
   }
@@ -122,32 +125,23 @@ bool JournalReplicator::flush(double timeout_s) {
   std::unique_lock<std::mutex> lock(mu_);
   work_cv_.notify_all();
   return drain_cv_.wait_for(
-      lock, std::chrono::duration<double>(timeout_s), [this] {
-        if (stop_) return true;
-        for (const auto& [id, peer] : peers_) {
-          for (const auto& [study, q] : peer.queues) {
-            if (!q.items.empty()) return false;
-          }
-        }
-        return true;
-      });
+      lock, std::chrono::duration<double>(timeout_s),
+      [this] { return stop_ || queued_locked() == 0; });
 }
 
 std::size_t JournalReplicator::pending_frames() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return queued_locked();
+}
+
+std::size_t JournalReplicator::queued_locked() const {
   std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) {
-    for (const auto& [study, q] : peer.queues) n += q.items.size();
-  }
+  for (const auto& [id, peer] : peers_) n += peer.queued;
   return n;
 }
 
 void JournalReplicator::update_queue_gauge_locked() {
-  std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) {
-    for (const auto& [study, q] : peer.queues) n += q.items.size();
-  }
-  queue_frames_->set(static_cast<double>(n));
+  queue_frames_->set(static_cast<double>(queued_locked()));
 }
 
 void JournalReplicator::worker() {
@@ -158,14 +152,7 @@ void JournalReplicator::worker() {
     double next = now + 0.5;
     bool ready = false;
     for (auto& [id, peer] : peers_) {
-      bool has_work = false;
-      for (const auto& [study, q] : peer.queues) {
-        if (!q.items.empty()) {
-          has_work = true;
-          break;
-        }
-      }
-      if (!has_work) continue;
+      if (peer.queued == 0) continue;
       if (peer.next_attempt_s <= now) {
         ready = true;
       } else {
@@ -182,15 +169,7 @@ void JournalReplicator::worker() {
     bool progressed = false;
     for (auto& [id, peer] : peers_) {
       if (stop_) break;
-      if (peer.next_attempt_s > now_seconds()) continue;
-      bool has_work = false;
-      for (const auto& [study, q] : peer.queues) {
-        if (!q.items.empty()) {
-          has_work = true;
-          break;
-        }
-      }
-      if (!has_work) continue;
+      if (peer.next_attempt_s > now_seconds() || peer.queued == 0) continue;
       progressed |= drain_peer(peer, lock);
     }
     update_queue_gauge_locked();
@@ -204,90 +183,30 @@ void JournalReplicator::worker() {
 }
 
 bool JournalReplicator::ensure_connected(Peer& peer) {
-  if (peer.fd >= 0) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  timeval tv{};
-  tv.tv_sec = static_cast<long>(opts_.io_timeout_s);
-  tv.tv_usec = static_cast<long>((opts_.io_timeout_s - tv.tv_sec) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(peer.member.port);
-  if (::inet_pton(AF_INET, peer.member.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  peer.fd = fd;
-  peer.in.clear();
+  if (peer.conn != nullptr) return true;
+  // io_timeout_s bounds the connect and every later request, so a hung
+  // peer costs the worker one timeout, never a wedge.
+  net::ClientOptions copts;
+  copts.tenant = opts_.tenant;
+  copts.token = opts_.token;
+  copts.io_timeout_s = opts_.io_timeout_s;
+  auto conn = std::make_unique<net::Client>(
+      net::Endpoint::tcp(peer.member.host, peer.member.port), copts);
+  const auto hello = conn->connect();
+  if (!hello.has_value() || hello->rfind("ok", 0) != 0) return false;
+  peer.conn = std::move(conn);
   peer.acked.clear();  // follower offsets must be re-probed per connection
   reconnects_total_->add(1);
-  if (!opts_.token.empty()) {
-    net::Frame hello;
-    hello.opcode = net::Opcode::kHello;
-    hello.tenant = opts_.tenant;
-    hello.payload = opts_.token;
-    if (!send_all(peer.fd, net::encode_frame(hello))) {
-      disconnect(peer);
-      return false;
-    }
-    const auto ack = request(peer, "", "");  // read the hello response only
-    if (!ack.has_value() || ack->rfind("ok", 0) != 0) {
-      disconnect(peer);
-      return false;
-    }
-  }
   return true;
 }
 
 void JournalReplicator::disconnect(Peer& peer) {
-  if (peer.fd >= 0) {
-    ::close(peer.fd);
-    peer.fd = -1;
-  }
-  peer.in.clear();
+  peer.conn.reset();
   peer.acked.clear();
 }
 
-std::optional<std::string> JournalReplicator::request(
-    Peer& peer, const std::string& verb, const std::string& args) {
-  if (peer.fd < 0) return std::nullopt;
-  if (!verb.empty()) {
-    const auto opcode = net::opcode_for_verb(verb);
-    if (!opcode.has_value()) return std::nullopt;
-    net::Frame req;
-    req.opcode = *opcode;
-    req.tenant = opts_.tenant;
-    req.payload = args;
-    if (!send_all(peer.fd, net::encode_frame(req))) return std::nullopt;
-  }
-  char buf[8192];
-  for (;;) {
-    const net::DecodeResult r = net::decode_frame(peer.in);
-    if (r.status == net::DecodeStatus::kBad) return std::nullopt;
-    if (r.status == net::DecodeStatus::kFrame) {
-      peer.in.erase(0, r.consumed);
-      if (r.frame.opcode == net::Opcode::kOk) return "ok " + r.frame.payload;
-      if (r.frame.opcode == net::Opcode::kErr) {
-        return "err " + r.frame.payload;
-      }
-      return std::nullopt;
-    }
-    const ssize_t n = ::recv(peer.fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;  // closed or SO_RCVTIMEO expired
-    peer.in.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
 void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
-  StudyQueue& q = peer.queues[study];
-  q.items.clear();
-  ++q.generation;
+  peer.reset(study);
   std::string bytes;
   try {
     if (opts_.read_journal) bytes = opts_.read_journal(study);
@@ -301,7 +220,7 @@ void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
     drops_total_->add(1);
     return;
   }
-  q.items.push_back(Item{true, 0, std::move(bytes)});
+  peer.push(study, Item{true, 0, std::move(bytes)});
 }
 
 void JournalReplicator::note_shipped(std::size_t frames, std::size_t bytes) {
@@ -321,9 +240,9 @@ bool JournalReplicator::drain_peer(Peer& peer,
     return false;
   };
 
-  if (peer.fd < 0) {
+  if (peer.conn == nullptr) {
     // Connect without holding up producers. The peer map is node-stable and
-    // only this thread touches fd/in/acked, so unlocking around the blocking
+    // only this thread touches conn/acked, so unlocking around the blocking
     // connect is safe.
     lock.unlock();
     const bool ok = ensure_connected(peer);
@@ -332,24 +251,14 @@ bool JournalReplicator::drain_peer(Peer& peer,
   }
 
   // Pick the first study with queued work.
-  std::string study;
-  for (auto& [name, q] : peer.queues) {
-    if (!q.items.empty()) {
-      study = name;
-      break;
-    }
-  }
-  if (study.empty()) return true;
+  if (peer.busy.empty()) return true;
+  const std::string study = *peer.busy.begin();
   StudyQueue& q = peer.queues[study];
   const std::uint64_t gen = q.generation;
 
   // Total queue depth at ship time is the replication lag this batch
   // observed; the bench scrapes this histogram's p99.
-  std::size_t pending = 0;
-  for (const auto& [id2, p2] : peers_) {
-    for (const auto& [s2, q2] : p2.queues) pending += q2.items.size();
-  }
-  lag_frames_->observe(static_cast<double>(pending));
+  lag_frames_->observe(static_cast<double>(queued_locked()));
 
   const bool rewrite = q.items.front().rewrite;
   std::string batch;
@@ -365,7 +274,7 @@ bool JournalReplicator::drain_peer(Peer& peer,
     const auto known = peer.acked.find(study);
     if (known == peer.acked.end()) {
       lock.unlock();
-      const auto resp = request(peer, "repl-ack", study);
+      const auto resp = peer.conn->request(net::Opcode::kReplAck, study);
       lock.lock();
       if (stop_) return true;
       if (!resp.has_value()) return fail();
@@ -373,8 +282,7 @@ bool JournalReplicator::drain_peer(Peer& peer,
       if (!offset.has_value()) {
         // The peer is up but speaks no repl-ack (version skew): drop the
         // queue instead of spinning against it.
-        peer.queues[study].items.clear();
-        ++peer.queues[study].generation;
+        peer.reset(study);
         drops_total_->add(1);
         return true;
       }
@@ -422,10 +330,11 @@ bool JournalReplicator::drain_peer(Peer& peer,
       const std::string hex =
           hex_encode(std::string_view(batch).substr(off, n));
       const auto resp =
-          off == 0
-              ? request(peer, "repl-snapshot", study + " " + hex)
-              : request(peer, "repl-append",
-                        study + " " + std::to_string(off) + " " + hex);
+          off == 0 ? peer.conn->request(net::Opcode::kReplSnapshot,
+                                        study + " " + hex)
+                   : peer.conn->request(
+                         net::Opcode::kReplAppend,
+                         study + " " + std::to_string(off) + " " + hex);
       if (!resp.has_value() ||
           !parse_u64_field(*resp, "acked").has_value()) {
         shipped = false;
@@ -437,8 +346,8 @@ bool JournalReplicator::drain_peer(Peer& peer,
     }
     if (shipped) snapshots_total_->add(1);
   } else {
-    const auto resp = request(
-        peer, "repl-append",
+    const auto resp = peer.conn->request(
+        net::Opcode::kReplAppend,
         study + " " + std::to_string(base) + " " + hex_encode(batch));
     if (resp.has_value()) {
       const auto acked = parse_u64_field(*resp, "acked");
@@ -463,10 +372,10 @@ bool JournalReplicator::drain_peer(Peer& peer,
   lock.lock();
   if (stop_) return true;
 
-  StudyQueue& q2 = peer.queues[study];
+  const bool same_generation = peer.queues[study].generation == gen;
   if (mismatch) {
     peer.acked[study] = mismatch_have;
-    if (q2.generation == gen) resync_study(peer, study);
+    if (same_generation) resync_study(peer, study);
     return true;
   }
   if (!shipped) return fail();
@@ -474,11 +383,7 @@ bool JournalReplicator::drain_peer(Peer& peer,
   peer.next_attempt_s = 0.0;
   peer.acked[study] = acked_size;
   note_shipped(batched_items, batch.size());
-  if (q2.generation == gen) {
-    for (std::size_t i = 0; i < batched_items && !q2.items.empty(); ++i) {
-      q2.items.pop_front();
-    }
-  }
+  if (same_generation) peer.pop(study, batched_items);
   return true;
 }
 

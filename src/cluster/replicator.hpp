@@ -8,7 +8,8 @@
 // created on an off-placement instance still ends up with a second copy on
 // its rightful owner. Mutations are enqueued per (peer, study) by the
 // appending thread (non-blocking; replication never holds up a durable
-// step) and a single background thread drains the queues:
+// step) and a single background thread drains the queues over one blocking
+// net::Client per peer:
 //
 //   - contiguous kAppend runs are coalesced into ONE repl-append frame of
 //     up to max_batch_bytes — the follower acks the whole batch with its
@@ -33,12 +34,14 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "cluster/placement.hpp"
+#include "net/client.hpp"
 #include "service/journal.hpp"
 
 namespace fedtune::obs {
@@ -109,15 +112,22 @@ class JournalReplicator {
   };
   struct Peer {
     ClusterMember member;
-    int fd = -1;
-    std::string in;  // response bytes buffered across reads
+    std::unique_ptr<net::Client> conn;  // null while disconnected
     std::map<std::string, StudyQueue> queues;
+    // Every queue edit goes through push/reset/pop, which keep these exact:
+    // the studies with a non-empty queue, and their total item count.
+    std::set<std::string> busy;
+    std::size_t queued = 0;
     // Follower-confirmed journal size per study (repl-ack probe / batch
-    // acks); nullopt until probed on this connection.
+    // acks); absent until probed on this connection.
     std::map<std::string, std::uint64_t> acked;
-    bool probed_this_conn = false;
     double next_attempt_s = 0.0;
     double backoff_s = 0.0;
+
+    void push(const std::string& study, Item item);
+    // Drops the study's queue; bumps its generation.
+    void reset(const std::string& study);
+    void pop(const std::string& study, std::size_t n);
   };
 
   void worker();
@@ -125,12 +135,10 @@ class JournalReplicator {
   bool drain_peer(Peer& peer, std::unique_lock<std::mutex>& lock);
   bool ensure_connected(Peer& peer);
   void disconnect(Peer& peer);
-  // Frame round trip on the peer's socket; nullopt on connection failure.
-  std::optional<std::string> request(Peer& peer, const std::string& verb,
-                                     const std::string& args);
   // Replaces a study's queue with a single rewrite item via read_journal.
   void resync_study(Peer& peer, const std::string& study);
   void note_shipped(std::size_t frames, std::size_t bytes);
+  std::size_t queued_locked() const;  // items queued across all peers
   void update_queue_gauge_locked();
 
   Placement placement_;

@@ -129,17 +129,4 @@ DecodeResult decode_frame(std::string_view in, std::size_t max_payload) {
   return r;
 }
 
-std::optional<std::size_t> parse_ok_lines_header(std::string_view header) {
-  constexpr std::string_view kPrefix = "ok lines=";
-  if (header.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  const std::string_view digits = header.substr(kPrefix.size());
-  if (digits.empty() || digits.size() > 9) return std::nullopt;
-  std::size_t n = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return n;
-}
-
 }  // namespace fedtune::net

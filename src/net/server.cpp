@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -20,32 +19,14 @@ namespace fedtune::net {
 
 namespace {
 
-// First wire byte of an encoded frame (LE kFrameMagic): the mode sniffer.
-constexpr char kBinaryFirstByte = static_cast<char>(kFrameMagic & 0xFFu);
-
 double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// Splits "verb rest..." at the first space; rest keeps internal spacing.
-void split_verb(const std::string& line, std::string* verb,
-                std::string* args) {
-  const std::size_t sp = line.find(' ');
-  if (sp == std::string::npos) {
-    *verb = line;
-    args->clear();
-    return;
-  }
-  *verb = line.substr(0, sp);
-  std::size_t start = sp;
-  while (start < line.size() && line[start] == ' ') ++start;
-  *args = line.substr(start);
-}
-
-// Second word of a line ("create-study NAME ..." / "suspend NAME").
-std::string second_word(const std::string& args) {
+// First word of a payload ("NAME ..." of create-study / suspend).
+std::string first_word(const std::string& args) {
   const std::size_t sp = args.find(' ');
   return sp == std::string::npos ? args : args.substr(0, sp);
 }
@@ -240,40 +221,6 @@ void Server::on_conn_event(int fd, std::uint32_t revents) {
 }
 
 void Server::process_input(int fd) {
-  Conn* c = find(fd);
-  if (c == nullptr || c->in.empty()) return;
-  if (c->mode == Mode::kUnknown) {
-    c->mode = c->in[0] == kBinaryFirstByte ? Mode::kBinary : Mode::kText;
-  }
-  if (c->mode == Mode::kBinary) {
-    process_binary(fd);
-  } else {
-    process_text(fd);
-  }
-}
-
-void Server::process_text(int fd) {
-  Conn* c;
-  while ((c = find(fd)) != nullptr && !c->close_after_flush) {
-    const std::size_t nl = c->in.find('\n');
-    if (nl == std::string::npos) {
-      if (c->in.size() > opts_.max_text_line_bytes) {
-        protocol_error(fd, "request line too long");
-      }
-      return;
-    }
-    std::string line = c->in.substr(0, nl);
-    c->in.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    frames_in_->add();
-    std::string verb, args;
-    split_verb(line, &verb, &args);
-    dispatch(fd, verb, args);
-  }
-}
-
-void Server::process_binary(int fd) {
   Conn* c;
   while ((c = find(fd)) != nullptr && !c->close_after_flush) {
     const DecodeResult res = decode_frame(c->in, opts_.max_frame_payload);
@@ -291,14 +238,13 @@ void Server::process_binary(int fd) {
     // With no auth table configured, trust the header's tenant id so
     // per-tenant quotas stay meaningful without a hello handshake.
     if (opts_.auth.open()) c->tenant = res.frame.tenant;
-    const char* verb = verb_for_opcode(res.frame.opcode);
-    if (verb == nullptr) {
+    if (verb_for_opcode(res.frame.opcode) == nullptr) {
       protocol_error(
           fd, "bad opcode " +
                   std::to_string(static_cast<int>(res.frame.opcode)));
       return;
     }
-    dispatch(fd, verb, res.frame.payload);
+    dispatch(fd, res.frame.opcode, res.frame.payload);
   }
 }
 
@@ -327,23 +273,9 @@ void Server::handle_hello(int fd, std::uint64_t tenant,
   queue_response(fd, "ok hello tenant=" + std::to_string(tenant));
 }
 
-void Server::dispatch(int fd, const std::string& verb,
-                      const std::string& args) {
+void Server::dispatch(int fd, Opcode op, const std::string& args) {
   Conn* c = find(fd);
   if (c == nullptr) return;
-  if (verb == "hello") {
-    // Text form: `hello TENANT [TOKEN]`.
-    std::istringstream in(args);
-    std::uint64_t tenant = 0;
-    std::string token;
-    if (!(in >> tenant)) {
-      queue_response(fd, "err usage: hello TENANT [TOKEN]");
-      return;
-    }
-    in >> token;
-    handle_hello(fd, tenant, token);
-    return;
-  }
   if (!c->authed) {
     auth_failures_->add();
     c->close_after_flush = true;
@@ -356,13 +288,14 @@ void Server::dispatch(int fd, const std::string& verb,
   // it still passes the auth gate above, but throttling it under a tenant's
   // rate bucket would let one tenant's quota starve another study's
   // durability copy.
-  const bool is_repl = verb.rfind("repl-", 0) == 0;
+  const bool is_repl = op == Opcode::kReplAppend || op == Opcode::kReplAck ||
+                       op == Opcode::kReplSnapshot;
   if (!is_repl && !quotas_.admit_frame(tenant, now_seconds())) {
     quota_rate_rejections_->add();
     queue_response(fd, "err quota exceeded (rate)");
     return;
   }
-  const bool is_create = verb == "create-study";
+  const bool is_create = op == Opcode::kCreateStudy;
   if (is_create && !quotas_.admit_study(tenant)) {
     quota_study_rejections_->add();
     queue_response(
@@ -371,14 +304,20 @@ void Server::dispatch(int fd, const std::string& verb,
                 " concurrent studies per tenant)");
     return;
   }
-  const std::string line = args.empty() ? verb : verb + " " + args;
+  std::string line = verb_for_opcode(op);
+  if (!args.empty()) {
+    line += ' ';
+    line += args;
+  }
   bool keep_running = true;
   const double t0 = steady_seconds();
   const std::string response = handler_(line, tenant, &keep_running);
   request_seconds_->observe(steady_seconds() - t0);
   const bool ok = response.rfind("ok", 0) == 0;
-  if (ok && is_create) quotas_.record_study(tenant, second_word(args));
-  if (ok && verb == "suspend") quotas_.release_study(tenant, second_word(args));
+  if (ok && is_create) quotas_.record_study(tenant, first_word(args));
+  if (ok && op == Opcode::kSuspend) {
+    quotas_.release_study(tenant, first_word(args));
+  }
   queue_response(fd, response);
   if (!keep_running) {
     stopping_ = true;
@@ -392,23 +331,17 @@ void Server::dispatch(int fd, const std::string& verb,
 void Server::queue_response(int fd, const std::string& response) {
   Conn* c = find(fd);
   if (c == nullptr) return;
-  std::string bytes;
-  if (c->mode == Mode::kBinary) {
-    Frame frame;
-    frame.tenant = c->tenant;
-    if (response.rfind("ok", 0) == 0) {
-      frame.opcode = Opcode::kOk;
-      frame.payload = response.size() > 3 ? response.substr(3) : "";
-    } else {
-      frame.opcode = Opcode::kErr;
-      frame.payload = response.size() > 4 ? response.substr(4) : response;
-    }
-    bytes = encode_frame(frame);
+  Frame frame;
+  frame.tenant = c->tenant;
+  if (response.rfind("ok", 0) == 0) {
+    frame.opcode = Opcode::kOk;
+    frame.payload = response.size() > 3 ? response.substr(3) : "";
   } else {
-    bytes = response + "\n";
+    frame.opcode = Opcode::kErr;
+    frame.payload = response.size() > 4 ? response.substr(4) : response;
   }
   frames_out_->add();
-  c->out.append(bytes);
+  c->out.append(encode_frame(frame));
   flush(fd);
 }
 

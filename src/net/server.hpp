@@ -4,24 +4,23 @@
 // dispatcher in service/service_handler.hpp).
 //
 // Connection state machine:
-//   - Mode sniffing: the first byte of a connection routes it. 0xCF (the
-//     first wire byte of the frame magic) selects the binary frame protocol
-//     (net/frame.hpp); anything else selects the newline-delimited text
-//     shim — the PR 4 line protocol, byte-compatible with old clients.
-//     Partial input is buffered per connection in both modes: a verb
-//     arriving one byte per segment parses identically to one arriving in a
-//     single read (regression-tested; the PR 4 daemon mis-parsed split
-//     reads).
-//   - Auth: with a non-empty AuthTable, TCP connections must hello
-//     (binary: kHello frame carrying the token, tenant id in the header;
-//     text: `hello TENANT TOKEN`) before any other verb. Unix connections
-//     are local and pre-trusted as tenant 0 (hello still switches tenant).
-//     Failed hellos and pre-auth requests are answered with `err ...` and
-//     disconnected.
+//   - Framing: every connection speaks the length-prefixed frame protocol
+//     (net/frame.hpp); bytes that are not a frame are a protocol error,
+//     answered with a kErr frame and a disconnect. Partial input is
+//     buffered per connection: a frame arriving one byte per segment
+//     decodes identically to one arriving in a single read
+//     (regression-tested over TCP and Unix).
+//   - Auth: with a non-empty AuthTable, TCP connections must send a kHello
+//     frame (token as payload, tenant id in the header) before any other
+//     request. Unix connections are local and pre-trusted as tenant 0
+//     (hello still switches tenant). Failed hellos and pre-auth requests
+//     are answered with `err ...` and disconnected.
 //   - Quotas (net/quota.hpp): each admitted request costs one token from
 //     the tenant's frames/sec bucket (`err quota exceeded (rate)` when
 //     empty), and create-study is additionally gated on the tenant's
-//     concurrent-study cap — both enforced here, before the StudyManager.
+//     concurrent-study cap — both enforced here, before the StudyManager,
+//     and decided from the request's opcode. Replication opcodes (repl-*)
+//     are exempt from the rate bucket.
 //   - Backpressure: responses are queued per connection and flushed as the
 //     socket drains. A slow or stalled reader accumulates queue bytes up to
 //     max_write_queue_bytes and is then disconnected — the daemon never
@@ -59,8 +58,6 @@ struct ServerOptions {
   // Backpressure cap: pending unsent response bytes above this disconnect
   // the connection.
   std::size_t max_write_queue_bytes = 256 * 1024;
-  // A text line longer than this with no newline is a protocol error.
-  std::size_t max_text_line_bytes = 64 * 1024;
   int listen_backlog = 1024;
   // SO_SNDBUF for accepted sockets; 0 keeps the kernel default. Tests use
   // tiny buffers to hit the backpressure cap deterministically.
@@ -74,9 +71,10 @@ struct ServerOptions {
 
 class Server {
  public:
-  // `line` is the text-form request (binary frames are mapped through the
-  // verb table), `tenant` the authenticated tenant id; clearing
-  // `keep_running` requests daemon shutdown.
+  // `line` is the request frame as `VERB PAYLOAD` (the opcode mapped
+  // through the verb table), `tenant` the authenticated tenant id; clearing
+  // `keep_running` requests daemon shutdown. The returned `ok …`/`err …`
+  // line goes back as a kOk/kErr frame with the prefix stripped.
   using Handler = std::function<std::string(
       const std::string& line, std::uint64_t tenant, bool* keep_running)>;
 
@@ -103,12 +101,9 @@ class Server {
   void shutdown(int drain_timeout_ms = 0);
 
  private:
-  enum class Mode : std::uint8_t { kUnknown, kText, kBinary };
-
   struct Conn {
     int fd = -1;
     bool via_unix = false;
-    Mode mode = Mode::kUnknown;
     bool authed = false;
     std::uint64_t tenant = 0;
     std::string in;        // unparsed request bytes
@@ -121,14 +116,12 @@ class Server {
   Conn* find(int fd);
   void on_accept(int listen_fd, bool via_unix);
   void on_conn_event(int fd, std::uint32_t revents);
-  // Parses and dispatches everything complete in conn.in. The connection
+  // Decodes and dispatches every complete frame in conn.in. The connection
   // may be closed by the time this returns.
   void process_input(int fd);
-  void process_text(int fd);
-  void process_binary(int fd);
   // Auth/quota gates + handler dispatch for one request; queues the
   // response.
-  void dispatch(int fd, const std::string& verb, const std::string& args);
+  void dispatch(int fd, Opcode op, const std::string& args);
   void handle_hello(int fd, std::uint64_t tenant, const std::string& token);
   void queue_response(int fd, const std::string& response);
   // Writes as much of conn.out as the socket accepts; enforces the

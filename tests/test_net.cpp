@@ -1,16 +1,14 @@
 // Networked StudyService tests: frame codec round-trip and corruption
-// rejection, partial-input framing (the PR 4 split-read regression), auth
-// and per-tenant quota enforcement at the connection layer, slow-reader
-// backpressure disconnects that leave other tenants bitwise-unperturbed,
-// cross-transport determinism for external ask/tell studies, and
-// kill/resume of TCP-served managed studies at several interruption points.
+// rejection, partial-input framing over TCP and Unix, the client's
+// failure classification, auth and per-tenant quota enforcement at the
+// connection layer, slow-reader backpressure disconnects that leave other
+// tenants bitwise-unperturbed, cross-transport determinism for external
+// ask/tell studies, and kill/resume of TCP-served managed studies at
+// several interruption points.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,6 +25,7 @@
 
 #include "core/config_pool.hpp"
 #include "hpo/search_space.hpp"
+#include "net/client.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/quota.hpp"
@@ -40,6 +39,9 @@
 namespace fedtune::net {
 namespace {
 
+using testutil::loopback;
+using testutil::TestClient;
+
 // ---------------------------------------------------------------------------
 // Frame codec
 
@@ -50,7 +52,7 @@ TEST(FrameCodec, RoundTripAndIncrementalDecode) {
   f.payload = "s1 7 0x1.8p-1";
   const std::string wire = encode_frame(f);
   ASSERT_EQ(wire.size(), kFrameHeaderSize + f.payload.size());
-  // The first wire byte is non-ASCII by design (the mode sniffer).
+  // The first wire byte is non-ASCII by design: stray text fails on it.
   EXPECT_EQ(static_cast<unsigned char>(wire[0]), 0xCFu);
 
   // Every proper prefix is kNeedMore; the full buffer decodes exactly.
@@ -88,7 +90,7 @@ TEST(FrameCodec, RejectsCorruption) {
   f.payload = "study-name";
   const std::string wire = encode_frame(f);
 
-  // Text-protocol bytes are not a valid frame prefix: fail fast, byte one.
+  // Text bytes are not a valid frame prefix: fail fast, byte one.
   EXPECT_EQ(decode_frame("ping\n").status, DecodeStatus::kBad);
 
   // Wrong magic byte.
@@ -188,26 +190,6 @@ TEST(TokenBucket, ZeroBurstWithPositiveRateClampsToOneToken) {
   EXPECT_FALSE(frac.try_consume(0.0));
 }
 
-// Clients frame multi-line responses off this header; a hostile or
-// corrupted header must parse to nullopt, never to a bogus line count (or
-// an aborting std::stoul).
-TEST(FrameCodec, ParseOkLinesHeaderIsStrict) {
-  ASSERT_TRUE(parse_ok_lines_header("ok lines=0").has_value());
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=0"), 0u);
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=42"), 42u);
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=123456789"), 123456789u);
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=banana").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=12x").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=-1").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines= 1").has_value());
-  // Ten digits would admit memory-ballooning counts; nine is the cap.
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=1234567890").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("err lines=3").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("").has_value());
-}
-
 TEST(TenantQuotas, ConcurrentStudyCapPerTenant) {
   QuotaOptions opts;
   opts.max_studies_per_tenant = 2;
@@ -261,147 +243,7 @@ TEST(AuthTableTest, LoadParsesAndValidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Server harness + blocking test clients
-
-int set_recv_timeout(int fd, int seconds) {
-  timeval tv{};
-  tv.tv_sec = seconds;
-  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-int connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  set_recv_timeout(fd, 10);
-  return fd;
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  set_recv_timeout(fd, 10);
-  return fd;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// Reads one '\n'-terminated line; "" on EOF/timeout (tests assert content).
-std::string recv_line(int fd, std::string* carry) {
-  char buf[4096];
-  for (;;) {
-    const std::size_t nl = carry->find('\n');
-    if (nl != std::string::npos) {
-      std::string line = carry->substr(0, nl);
-      carry->erase(0, nl + 1);
-      return line;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return "";
-    carry->append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-// One kOk/kErr frame mapped back to "ok ..." / "err ..."; "" on failure.
-std::string recv_frame_response(int fd, std::string* carry) {
-  char buf[4096];
-  for (;;) {
-    const DecodeResult r = decode_frame(*carry);
-    if (r.status == DecodeStatus::kBad) return "";
-    if (r.status == DecodeStatus::kFrame) {
-      carry->erase(0, r.consumed);
-      const char* prefix = r.frame.opcode == Opcode::kOk ? "ok" : "err";
-      return r.frame.payload.empty()
-                 ? std::string(prefix)
-                 : std::string(prefix) + " " + r.frame.payload;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return "";
-    carry->append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-// Persistent text-mode client connection.
-class TextClient {
- public:
-  explicit TextClient(int fd) : fd_(fd) {}
-  ~TextClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-  std::string request(const std::string& line) {
-    if (!send_all(fd_, line + "\n")) return "";
-    return recv_line(fd_, &carry_);
-  }
-  std::string read_line() { return recv_line(fd_, &carry_); }
-
- private:
-  int fd_;
-  std::string carry_;
-};
-
-// Persistent binary-mode client connection.
-class BinaryClient {
- public:
-  explicit BinaryClient(int fd) : fd_(fd) {}
-  ~BinaryClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-  std::string request(Opcode op, std::uint64_t tenant,
-                      const std::string& payload) {
-    Frame f;
-    f.opcode = op;
-    f.tenant = tenant;
-    f.payload = payload;
-    if (!send_all(fd_, encode_frame(f))) return "";
-    return recv_frame_response(fd_, &carry_);
-  }
-  // Sends a text-form request ("verb args...") as a binary frame.
-  std::string request_line(const std::string& line, std::uint64_t tenant) {
-    const std::size_t sp = line.find(' ');
-    const std::string verb = line.substr(0, sp);
-    const auto op = opcode_for_verb(verb);
-    if (!op.has_value()) return "";
-    return request(*op, tenant,
-                   sp == std::string::npos ? "" : line.substr(sp + 1));
-  }
-  bool send_raw(const std::string& bytes) { return send_all(fd_, bytes); }
-  std::string read_response() { return recv_frame_response(fd_, &carry_); }
-
- private:
-  int fd_;
-  std::string carry_;
-};
+// Server harness
 
 // A Server + EventLoop running on a background thread. The StudyManager
 // (when present) is only ever touched from the loop thread via the handler;
@@ -414,7 +256,7 @@ class ServerHarness {
   }
 
   // Service harness: the real verb dispatcher over a StudyManager with the
-  // shared test pool registered as "p". The extra test-only verb `blob`
+  // shared test pool registered as "p". The test-only request `ping blob`
   // answers 8 KiB (a deterministic backpressure hammer).
   ServerHarness(const service::ManagerOptions& mopts,
                 std::shared_ptr<const service::PoolResources> pool,
@@ -426,7 +268,7 @@ class ServerHarness {
     server_ = std::make_unique<Server>(
         loop_, std::move(sopts),
         [this](const std::string& line, std::uint64_t, bool* keep) {
-          if (line == "blob") return "ok " + std::string(8192, 'x');
+          if (line == "ping blob") return "ok " + std::string(8192, 'x');
           return handler_->handle(line, keep);
         });
   }
@@ -446,6 +288,7 @@ class ServerHarness {
       while (!stop_.load(std::memory_order_relaxed) && !server_->stopping()) {
         loop_.run_once(10);
       }
+      stopped_.store(server_->stopping());
     });
   }
 
@@ -457,21 +300,24 @@ class ServerHarness {
     server_->shutdown(0);
   }
 
-  bool stopping() const { return server_->stopping(); }
+  // True once the loop thread has seen the server stop. The Server itself
+  // is single-threaded, so the test thread reads this copy instead.
+  bool stopping() const { return stopped_.load(); }
 
  private:
   EventLoop loop_;
   std::unique_ptr<service::StudyManager> manager_;
   std::unique_ptr<service::ServiceHandler> handler_;
   std::unique_ptr<Server> server_;
-  std::thread thread_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> stopped_{false};
+  std::thread thread_;
 };
 
 Server::Handler ping_handler() {
   return [](const std::string& line, std::uint64_t tenant, bool* keep) {
     if (line == "ping") return std::string("ok pong");
-    if (line == "whoami") return "ok tenant=" + std::to_string(tenant);
+    if (line == "ping whoami") return "ok tenant=" + std::to_string(tenant);
     if (line == "shutdown") {
       *keep = false;
       return std::string("ok bye");
@@ -559,29 +405,29 @@ std::shared_ptr<const service::PoolResources> NetFixture::pool_;
 // ---------------------------------------------------------------------------
 // Protocol-level server behavior (no StudyManager needed)
 
-// The PR 4 daemon assumed one read() delivered a whole line; a request
-// trickling in one byte per segment must parse identically.
-TEST(NetServer, TextRequestSplitAcrossSegments) {
+// A frame trickling in one byte per segment must decode identically to one
+// arriving in a single read — over TCP and over Unix.
+TEST(NetServer, BinaryFrameSplitAcrossSegments) {
   ServerHarness h(ServerOptions{}, ping_handler());
   const std::uint16_t port = h.listen();
   ASSERT_NE(port, 0);
   h.start();
-  TextClient client(connect_tcp(port));
-  ASSERT_TRUE(client.ok());
-  for (const char c : std::string("ping\n")) {
-    ASSERT_TRUE(send_all(client.fd(), std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  TestClient client(loopback(port), /*tenant=*/9);
+  ASSERT_TRUE(client.connect().has_value());
+  Frame f;
+  f.opcode = Opcode::kPing;
+  f.tenant = 9;
+  const std::string wire = encode_frame(f);
+  for (const char c : wire) {
+    ASSERT_TRUE(client.send_bytes(std::string(1, c)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(client.read_line(), "ok pong");
-  // Same connection still works for a normally-framed request, and for two
-  // requests pipelined into one segment.
-  EXPECT_EQ(client.request("ping"), "ok pong");
-  ASSERT_TRUE(send_all(client.fd(), "ping\nping\n"));
-  EXPECT_EQ(client.read_line(), "ok pong");
-  EXPECT_EQ(client.read_line(), "ok pong");
+  EXPECT_EQ(client.read(), "ok pong");
+  // Tenant id rides in the header (open auth mode trusts it).
+  EXPECT_EQ(client.call("ping whoami"), "ok tenant=9");
 }
 
-TEST(NetServer, UnixSocketTextSplitAcrossSegments) {
+TEST(NetServer, UnixSocketFrameSplitAcrossSegments) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("fedtune_net_ux_" + std::to_string(::getpid()) + ".sock"))
@@ -589,33 +435,20 @@ TEST(NetServer, UnixSocketTextSplitAcrossSegments) {
   ServerHarness h(ServerOptions{}, ping_handler());
   ASSERT_TRUE(h.listen_unix(path));
   h.start();
-  TextClient client(connect_unix(path));
-  ASSERT_TRUE(client.ok());
-  for (const char c : std::string("ping\n")) {
-    ASSERT_TRUE(send_all(client.fd(), std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(client.read_line(), "ok pong");
-}
-
-TEST(NetServer, BinaryFrameSplitAcrossSegments) {
-  ServerHarness h(ServerOptions{}, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
-  h.start();
-  BinaryClient client(connect_tcp(port));
-  ASSERT_TRUE(client.ok());
+  TestClient client(Endpoint::unix_socket(path));
+  ASSERT_TRUE(client.connect().has_value());
   Frame f;
   f.opcode = Opcode::kPing;
-  f.tenant = 9;
   const std::string wire = encode_frame(f);
   for (const char c : wire) {
-    ASSERT_TRUE(client.send_raw(std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(client.send_bytes(std::string(1, c)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(client.read_response(), "ok pong");
-  // Tenant id rides in the header (open auth mode trusts it).
-  EXPECT_EQ(client.request(Opcode::kPing, 9, ""), "ok pong");
+  EXPECT_EQ(client.read(), "ok pong");
+  // Two requests pipelined into one segment still answer in order.
+  ASSERT_TRUE(client.send_bytes(wire + wire));
+  EXPECT_EQ(client.read(), "ok pong");
+  EXPECT_EQ(client.read(), "ok pong");
 }
 
 TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
@@ -626,14 +459,19 @@ TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
   ASSERT_NE(port, 0);
   h.start();
 
+  // Each bad stream earns an `err protocol: ...` frame (or a bare hang-up)
+  // and a disconnect, never a crash.
+  const auto expect_rejected = [port](const std::string& bytes) {
+    TestClient bad(loopback(port));
+    ASSERT_TRUE(bad.connect().has_value());
+    ASSERT_TRUE(bad.send_bytes(bytes));
+    const std::string r = bad.read();
+    EXPECT_TRUE(r.empty() || r.rfind("err protocol", 0) == 0) << r;
+  };
+  // A text-protocol line: not a frame, rejected on its first byte.
+  expect_rejected("ping\n");
   // Binary-looking garbage: first byte 0xCF, then junk.
-  {
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(std::string("\xCF\x00\x01\x02junkjunkjunk", 16)));
-    const std::string r = bad.read_response();
-    EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
-  }
+  expect_rejected(std::string("\xCF\x00\x01\x02junkjunkjunk", 16));
   // CRC mismatch.
   {
     Frame f;
@@ -641,36 +479,73 @@ TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
     f.payload = "xyz";
     std::string wire = encode_frame(f);
     wire[kFrameHeaderSize] ^= 0x01;
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(wire));
-    const std::string r = bad.read_response();
-    EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
+    expect_rejected(wire);
   }
   // Oversized declared payload (above the server's cap).
   {
     Frame f;
     f.opcode = Opcode::kPing;
     f.payload = std::string(2048, 'a');
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(encode_frame(f)));
-    const std::string r = bad.read_response();
-    EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
-  }
-  // Over-long unterminated text line.
-  {
-    TextClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(send_all(bad.fd(), std::string(70 * 1024, 'a')));
-    const std::string r = bad.read_line();
-    EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
+    expect_rejected(encode_frame(f));
   }
 
   // After all of that, a healthy client is served normally.
-  TextClient good(connect_tcp(port));
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(good.request("ping"), "ok pong");
+  TestClient good(loopback(port));
+  EXPECT_EQ(good.call("ping"), "ok pong");
+}
+
+// The client's two failure classes drive its callers' retry policy: a
+// refused connect is retryable, a peer answering with non-frame bytes is
+// not.
+TEST(NetClient, ClassifiesConnectFailureAndProtocolError) {
+  {
+    TestClient client(Endpoint::unix_socket(
+        "/nonexistent-dir/fedtune_" + std::to_string(::getpid()) + ".sock"));
+    EXPECT_FALSE(client.request("ping").has_value());
+    EXPECT_EQ(client.error(), Client::Error::kConnectFailed);
+    EXPECT_FALSE(client.connected());
+  }
+  // A bound but non-listening TCP socket refuses connections.
+  const int refusing = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(refusing, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(refusing, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::getsockname(refusing, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  {
+    TestClient client(loopback(ntohs(addr.sin_port)));
+    EXPECT_FALSE(client.request("ping").has_value());
+    EXPECT_EQ(client.error(), Client::Error::kConnectFailed);
+  }
+  ::close(refusing);
+
+  // An impostor that answers a frame with a text line.
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  addr.sin_port = 0;
+  len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread impostor([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char buf[256];
+    (void)::recv(fd, buf, sizeof(buf), 0);
+    const std::string reply = "ok lines=banana\n";
+    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+  TestClient client(loopback(ntohs(addr.sin_port)));
+  EXPECT_FALSE(client.request("metrics").has_value());
+  EXPECT_EQ(client.error(), Client::Error::kProtocolError);
+  EXPECT_FALSE(client.connected());
+  impostor.join();
+  ::close(listener);
 }
 
 TEST(NetServer, AuthRequiredOnTcpAndPreTrustedOnUnix) {
@@ -688,43 +563,33 @@ TEST(NetServer, AuthRequiredOnTcpAndPreTrustedOnUnix) {
 
   // Pre-hello request on TCP: rejected and disconnected.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("ping"), "err auth required (send hello first)");
-    EXPECT_EQ(c.read_line(), "");  // server closed the connection
+    TestClient c(loopback(port));
+    EXPECT_EQ(c.call("ping"), "err auth required (send hello first)");
+    EXPECT_EQ(c.read(), "");  // server closed the connection
   }
   // Wrong token.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("hello 7 wrong"), "err auth failed for tenant 7");
+    TestClient c(loopback(port), 7, "wrong");
+    EXPECT_EQ(c.connect(), "err auth failed for tenant 7");
+    EXPECT_FALSE(c.connected());
   }
-  // Unknown tenant.
+  // Unknown tenant: the refusal is the request's reply.
   {
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request(Opcode::kHello, 99, "sekrit"),
-              "err auth failed for tenant 99");
+    TestClient c(loopback(port), 99, "sekrit");
+    EXPECT_EQ(c.call("ping"), "err auth failed for tenant 99");
   }
-  // Correct hello, text form; requests attribute to the tenant.
+  // Correct hello (token in the payload, tenant in the header); requests
+  // attribute to the tenant.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("hello 7 sekrit"), "ok hello tenant=7");
-    EXPECT_EQ(c.request("whoami"), "ok tenant=7");
-  }
-  // Correct hello, binary form (token in the payload, tenant in the header).
-  {
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request(Opcode::kHello, 7, "sekrit"), "ok hello tenant=7");
-    EXPECT_EQ(c.request(Opcode::kPing, 7, ""), "ok pong");
+    TestClient c(loopback(port), 7, "sekrit");
+    EXPECT_EQ(c.connect(), "ok hello tenant=7");
+    EXPECT_EQ(c.call("ping"), "ok pong");
+    EXPECT_EQ(c.call("ping whoami"), "ok tenant=7");
   }
   // Unix connections are local and pre-trusted: no hello needed.
   {
-    TextClient c(connect_unix(path));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("ping"), "ok pong");
+    TestClient c(Endpoint::unix_socket(path));
+    EXPECT_EQ(c.call("ping"), "ok pong");
   }
 }
 
@@ -739,15 +604,14 @@ TEST(NetServer, RateQuotaEnforcedAgainstInjectedClock) {
   const std::uint16_t port = h.listen();
   ASSERT_NE(port, 0);
   h.start();
-  TextClient c(connect_tcp(port));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "err quota exceeded (rate)");
+  TestClient c(loopback(port));
+  EXPECT_EQ(c.call("ping"), "ok pong");
+  EXPECT_EQ(c.call("ping"), "ok pong");
+  EXPECT_EQ(c.call("ping"), "err quota exceeded (rate)");
   fake_now->store(10.0);  // refill (capped at burst)
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "err quota exceeded (rate)");
+  EXPECT_EQ(c.call("ping"), "ok pong");
+  EXPECT_EQ(c.call("ping"), "ok pong");
+  EXPECT_EQ(c.call("ping"), "err quota exceeded (rate)");
 }
 
 TEST(NetServer, ShutdownVerbStopsTheServer) {
@@ -755,9 +619,8 @@ TEST(NetServer, ShutdownVerbStopsTheServer) {
   const std::uint16_t port = h.listen();
   ASSERT_NE(port, 0);
   h.start();
-  TextClient c(connect_tcp(port));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.request("shutdown"), "ok bye");
+  TestClient c(loopback(port));
+  EXPECT_EQ(c.call("shutdown"), "ok bye");
   for (int i = 0; i < 100 && !h.stopping(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -783,31 +646,29 @@ TEST_F(NetFixture, ExternalAskTellIdenticalAcrossTransportsAndDirect) {
   const std::string want = direct_last_response(ref_script);
   ASSERT_EQ(want.rfind("ok n=", 0), 0) << want;
 
-  // Text over TCP.
-  {
+  // The same script over binary frames, once per transport.
+  const std::string sock =
+      (std::filesystem::temp_directory_path() /
+       ("fedtune_net_xport_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  for (const bool via_unix : {false, true}) {
+    SCOPED_TRACE(via_unix ? "unix" : "tcp");
     ServerHarness h(manager_options(fresh_dir()), pool_, ServerOptions{});
-    const std::uint16_t port = h.listen();
-    ASSERT_NE(port, 0);
-    h.start();
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    for (const std::string& v : script) {
-      ASSERT_EQ(c.request(v).rfind("ok", 0), 0) << v;
+    Endpoint ep;
+    if (via_unix) {
+      ASSERT_TRUE(h.listen_unix(sock));
+      ep = Endpoint::unix_socket(sock);
+    } else {
+      const std::uint16_t port = h.listen();
+      ASSERT_NE(port, 0);
+      ep = loopback(port);
     }
-    EXPECT_EQ(c.request("trace e1"), want);
-  }
-  // Binary frames over TCP.
-  {
-    ServerHarness h(manager_options(fresh_dir()), pool_, ServerOptions{});
-    const std::uint16_t port = h.listen();
-    ASSERT_NE(port, 0);
     h.start();
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
+    TestClient c(ep, /*tenant=*/4);
     for (const std::string& v : script) {
-      ASSERT_EQ(c.request_line(v, 4).rfind("ok", 0), 0) << v;
+      ASSERT_EQ(c.call(v).rfind("ok", 0), 0) << v;
     }
-    EXPECT_EQ(c.request_line("trace e1", 4), want);
+    EXPECT_EQ(c.call("trace e1"), want);
   }
 }
 
@@ -818,20 +679,20 @@ TEST_F(NetFixture, StudyQuotaGatesCreateAndReleasesOnSuspend) {
   const std::uint16_t port = h.listen();
   ASSERT_NE(port, 0);
   h.start();
-  BinaryClient a(connect_tcp(port));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a.request_line("create-study q1 external max-trials=2", 1)
+  TestClient a(loopback(port), /*tenant=*/1);
+  TestClient b(loopback(port), /*tenant=*/2);
+  EXPECT_EQ(a.call("create-study q1 external max-trials=2")
                 .rfind("ok created", 0),
             0);
-  EXPECT_EQ(a.request_line("create-study q2 external max-trials=2", 1),
+  EXPECT_EQ(a.call("create-study q2 external max-trials=2"),
             "err quota exceeded (max 1 concurrent studies per tenant)");
   // A different tenant is unaffected.
-  EXPECT_EQ(a.request_line("create-study q3 external max-trials=2", 2)
+  EXPECT_EQ(b.call("create-study q3 external max-trials=2")
                 .rfind("ok created", 0),
             0);
   // Suspending releases the slot.
-  EXPECT_EQ(a.request_line("suspend q1", 1), "ok suspended q1");
-  EXPECT_EQ(a.request_line("create-study q4 external max-trials=2", 1)
+  EXPECT_EQ(a.call("suspend q1"), "ok suspended q1");
+  EXPECT_EQ(a.call("create-study q4 external max-trials=2")
                 .rfind("ok created", 0),
             0);
 }
@@ -851,11 +712,14 @@ TEST_F(NetFixture, SlowReaderDisconnectedOthersBitwiseUnaffected) {
 
   // The stalled reader: pipelines 64 blob requests (64 * ~8 KiB of
   // responses) and never reads a byte.
-  const int slow_fd = connect_tcp(port);
-  ASSERT_GE(slow_fd, 0);
+  TestClient slow(loopback(port));
+  ASSERT_TRUE(slow.connect().has_value());
+  Frame blob;
+  blob.opcode = Opcode::kPing;
+  blob.payload = "blob";
   std::string flood;
-  for (int i = 0; i < 64; ++i) flood += "blob\n";
-  send_all(slow_fd, flood);  // may itself fail once the server disconnects
+  for (int i = 0; i < 64; ++i) flood += encode_frame(blob);
+  slow.send_bytes(flood);  // may itself fail once the server disconnects
 
   // The server must hit the write-queue cap and cut the connection without
   // stalling the loop.
@@ -871,19 +735,17 @@ TEST_F(NetFixture, SlowReaderDisconnectedOthersBitwiseUnaffected) {
 
   // Meanwhile a healthy tenant's managed study runs to completion with a
   // trajectory bitwise-identical to an in-process run.
-  TextClient healthy(connect_tcp(port));
-  ASSERT_TRUE(healthy.ok());
+  TestClient healthy(loopback(port));
   const std::string create =
       "create-study s1 method=rs configs=8 seed=17 eval-clients=4 epsilon=25";
-  ASSERT_EQ(healthy.request(create).rfind("ok created", 0), 0);
+  ASSERT_EQ(healthy.call(create).rfind("ok created", 0), 0);
   const std::string got = drive_to_trace(
-      [&healthy](const std::string& v) { return healthy.request(v); }, "s1");
+      [&healthy](const std::string& v) { return healthy.call(v); }, "s1");
 
   const std::string want = direct_last_response(
       {create, "drive s1 5000", "trace s1"});
   ASSERT_EQ(want.rfind("ok n=", 0), 0) << want;
   EXPECT_EQ(got, want);
-  ::close(slow_fd);
 }
 
 TEST_F(NetFixture, KillResumeOverTcpBitwiseIdentical) {
@@ -904,10 +766,9 @@ TEST_F(NetFixture, KillResumeOverTcpBitwiseIdentical) {
       const std::uint16_t port = h.listen();
       ASSERT_NE(port, 0);
       h.start();
-      TextClient c(connect_tcp(port));
-      ASSERT_TRUE(c.ok());
-      ASSERT_EQ(c.request(create).rfind("ok created", 0), 0);
-      ASSERT_EQ(c.request("drive k1 " + std::to_string(kill_after))
+      TestClient c(loopback(port));
+      ASSERT_EQ(c.call(create).rfind("ok created", 0), 0);
+      ASSERT_EQ(c.call("drive k1 " + std::to_string(kill_after))
                     .rfind("ok ran=", 0),
                 0);
     }  // server + manager destroyed with the study mid-flight
@@ -916,12 +777,11 @@ TEST_F(NetFixture, KillResumeOverTcpBitwiseIdentical) {
       const std::uint16_t port = h.listen();
       ASSERT_NE(port, 0);
       h.start();
-      TextClient c(connect_tcp(port));
-      ASSERT_TRUE(c.ok());
-      ASSERT_EQ(c.request("resume k1").rfind("ok resumed", 0), 0)
+      TestClient c(loopback(port));
+      ASSERT_EQ(c.call("resume k1").rfind("ok resumed", 0), 0)
           << "kill_after=" << kill_after;
       const std::string got = drive_to_trace(
-          [&c](const std::string& v) { return c.request(v); }, "k1");
+          [&c](const std::string& v) { return c.call(v); }, "k1");
       EXPECT_EQ(got, want) << "kill_after=" << kill_after;
     }
   }

@@ -1,11 +1,15 @@
-// Shared fixtures for the test suite: small deterministic datasets and a
-// trivial constant-prediction model stub.
+// Shared fixtures for the test suite: small deterministic datasets, a
+// trivial constant-prediction model stub, and the network tests' client.
 #pragma once
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "data/synth_image.hpp"
 #include "data/synth_text.hpp"
+#include "net/client.hpp"
 #include "nn/model.hpp"
 
 namespace fedtune::testutil {
@@ -75,6 +79,35 @@ class ConstantModel final : public nn::Model {
   std::int32_t target_;
   std::vector<float> params_;
   std::vector<float> grads_ = {0.0f};
+};
+
+inline net::Endpoint loopback(std::uint16_t port) {
+  return net::Endpoint::tcp("127.0.0.1", port);
+}
+
+// net::Client as the network tests drive it: a 10 s I/O timeout turns a
+// hung server into a failed test instead of a wedged one, and call()
+// answers "" when no reply came back (tests assert on content).
+class TestClient : public net::Client {
+ public:
+  explicit TestClient(net::Endpoint ep, std::uint64_t tenant = 0,
+                      std::string token = {})
+      : net::Client(std::move(ep), options(tenant, std::move(token))) {}
+
+  std::string call(std::string_view line) {
+    return request(line).value_or("");
+  }
+  std::string read() { return read_reply().value_or(""); }
+
+ private:
+  static net::ClientOptions options(std::uint64_t tenant,
+                                    std::string token) {
+    net::ClientOptions opts;
+    opts.tenant = tenant;
+    opts.token = std::move(token);
+    opts.io_timeout_s = 10.0;
+    return opts;
+  }
 };
 
 }  // namespace fedtune::testutil

@@ -1,13 +1,13 @@
 // fedtune_ctl — client for the fedtune_studyd daemon: sends one protocol
-// request over a Unix socket or TCP and prints the response.
+// request over a Unix socket or TCP and prints the reply.
 //
 //   fedtune_ctl --socket PATH [--timeout SEC] VERB [ARGS...]
-//   fedtune_ctl --tcp HOST:PORT [--binary] [--tenant N] [--token T]
-//               [--timeout SEC] VERB [ARGS...]
+//   fedtune_ctl --tcp HOST:PORT [--tenant N] [--token T] [--timeout SEC]
+//               VERB [ARGS...]
 //       e.g.  fedtune_ctl --socket /tmp/studyd.sock create-study s1
 //                 method=rs configs=24 seed=7
-//             fedtune_ctl --tcp 127.0.0.1:7447 --binary --tenant 3
-//                 --token s3cret status s1
+//             fedtune_ctl --tcp 127.0.0.1:7447 --tenant 3 --token s3cret
+//                 status s1
 //             fedtune_ctl --socket /tmp/studyd.sock cache-stats
 //       (cache-stats reports the shared evaluation caches per pool:
 //        entries, hits, misses, hit rate — daemon must run --eval-cache)
@@ -15,46 +15,38 @@
 //       polls `status NAME` until the study reports state=finished (exit 0)
 //       or the timeout expires (exit 1) — the CI smoke test's join point.
 //
-// Transport: --socket speaks the newline-delimited text protocol (byte
-// compatible with the PR 4 daemon). --tcp defaults to the same text shim;
-// --binary switches to the length-prefixed frame protocol (src/net/frame.hpp)
-// — the request verb maps to its opcode, the args to the payload, and
-// responses come back as kOk/kErr frames which this client prints in the
-// familiar `ok ...` / `err ...` form, so scripts see identical output on
-// every transport. With --token (or a daemon running --auth-file) the
-// client sends a `hello` first; --tenant sets the tenant id (default 0).
+// Transport: both --socket and --tcp speak the length-prefixed frame
+// protocol (src/net/frame.hpp) through net::Client — the request verb maps
+// to its opcode, the args to the payload, and the kOk/kErr reply frame is
+// printed as an `ok ...` / `err ...` line. With --token the client sends a
+// kHello first; --tenant sets the tenant id (default 0).
 //
 // Connection failures retry with jittered exponential backoff until the
 // --timeout deadline (default 5 s) — a daemon that is restarting (e.g.
 // replaying journals after a crash) looks like a connect failure for a
 // moment, and a control plane that gives up on the first ECONNREFUSED turns
 // every recovery into an outage. The jitter decorrelates concurrent clients
-// hammering a freshly bound socket.
+// hammering a freshly bound socket. A peer that answers with bytes that are
+// not a reply frame is a protocol error: no retry, exit 1.
 //
-// Responses are one line except `metrics`, which answers `ok lines=N`
-// followed by N raw Prometheus exposition lines; the client prints all of
-// them (in binary mode the whole body arrives inside one frame).
+// Replies are one line except `metrics`, which answers `ok lines=N`
+// followed by N raw Prometheus exposition lines, all inside one frame.
 //
 // Exit codes (distinct, for scripting):
 //   0  the daemon answered `ok ...` (or the wait succeeded)
-//   1  the daemon answered `err ...`, or a wait timed out
+//   1  the daemon answered `err ...`, a wait timed out, or a protocol error
 //   2  usage error (bad flags/arguments)
 //   3  connection failure past the --timeout deadline (daemon unreachable)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,27 +54,17 @@
 #include "flag_parse.hpp"
 
 #include "cluster/placement.hpp"
-#include "net/frame.hpp"
+#include "net/client.hpp"
 
 namespace {
 
-using fedtune::net::DecodeResult;
-using fedtune::net::DecodeStatus;
-using fedtune::net::Frame;
-using fedtune::net::Opcode;
+using fedtune::net::ClientOptions;
+using fedtune::net::Endpoint;
 
-struct Endpoint {
-  std::string unix_path;  // non-empty → Unix transport
-  std::string tcp_host;   // non-empty → TCP transport
-  std::uint16_t tcp_port = 0;
-  bool binary = false;
-  std::uint64_t tenant = 0;
-  std::string token;
-
-  std::string describe() const {
-    if (!unix_path.empty()) return unix_path;
-    return tcp_host + ":" + std::to_string(tcp_port);
-  }
+// The peer answered with bytes that are not a reply frame. Retrying cannot
+// help, so it unwinds straight to main (exit 1).
+struct ProtocolError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 // Verbs whose first argument is a study name — the ones --cluster routes by
@@ -94,219 +76,30 @@ bool study_scoped_verb(const std::string& verb) {
          verb == "promote";
 }
 
-int connect_to(const Endpoint& ep) {
-  if (!ep.unix_path.empty()) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (ep.unix_path.size() >= sizeof(addr.sun_path)) {
-      ::close(fd);
-      return -1;
-    }
-    std::strncpy(addr.sun_path, ep.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.tcp_port);
-  if (::inet_pton(AF_INET, ep.tcp_host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// Reads one kOk/kErr frame off `fd` (appending to `in`); nullopt on
-// connection or protocol failure.
-std::optional<std::string> read_response_frame(int fd, std::string& in) {
-  char buf[4096];
-  for (;;) {
-    const DecodeResult r = fedtune::net::decode_frame(in);
-    if (r.status == DecodeStatus::kBad) return std::nullopt;
-    if (r.status == DecodeStatus::kFrame) {
-      in.erase(0, r.consumed);
-      const Frame& f = r.frame;
-      if (f.opcode == Opcode::kOk) return "ok " + f.payload;
-      if (f.opcode == Opcode::kErr) return "err " + f.payload;
-      return std::nullopt;  // unexpected opcode from the daemon
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    in.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-std::optional<std::string> roundtrip_binary(const Endpoint& ep,
-                                            const std::string& line) {
-  const int fd = connect_to(ep);
-  if (fd < 0) return std::nullopt;
-  std::string in;
-  if (!ep.token.empty()) {
-    Frame hello;
-    hello.opcode = Opcode::kHello;
-    hello.tenant = ep.tenant;
-    hello.payload = ep.token;
-    if (!send_all(fd, fedtune::net::encode_frame(hello))) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    const auto ack = read_response_frame(fd, in);
-    if (!ack.has_value() || ack->rfind("ok", 0) != 0) {
-      ::close(fd);
-      return ack;  // auth err passes through; nullopt stays nullopt
-    }
-  }
-  const std::size_t sp = line.find(' ');
-  const std::string verb = line.substr(0, sp);
-  const auto opcode = fedtune::net::opcode_for_verb(verb);
-  if (!opcode.has_value()) {
-    ::close(fd);
-    // Let the daemon produce the canonical error text? It can't — there is
-    // no opcode to carry the verb. Mirror the daemon's wording locally.
-    return "err unknown verb '" + verb + "'";
-  }
-  Frame req;
-  req.opcode = *opcode;
-  req.tenant = ep.tenant;
-  if (sp != std::string::npos) req.payload = line.substr(sp + 1);
-  if (!send_all(fd, fedtune::net::encode_frame(req))) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  auto response = read_response_frame(fd, in);
-  ::close(fd);
-  if (response.has_value()) {
-    // Normalize "ok " / "err " with empty payload to bare "ok" / "err".
-    while (!response->empty() && response->back() == ' ') response->pop_back();
-  }
-  return response;
-}
-
-// One request/response round trip in text mode; returns the full response
-// (without the trailing newline — possibly multi-line for `metrics`) or
-// nullopt on connection failure.
-std::optional<std::string> roundtrip_text(const Endpoint& ep,
-                                          const std::string& line) {
-  const int fd = connect_to(ep);
-  if (fd < 0) return std::nullopt;
-  std::string preamble;
-  if (!ep.token.empty()) {
-    preamble = "hello " + std::to_string(ep.tenant) + " " + ep.token + "\n";
-  }
-  if (!send_all(fd, preamble + line + "\n")) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  // With a hello preamble the first response line is its ack; a failed
-  // hello ("err ...") is returned as the final answer.
-  std::size_t skip_lines = preamble.empty() ? 0 : 1;
-  std::string response;
-  char buf[4096];
-  auto read_more = [&]() -> bool {
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      response.append(buf, static_cast<std::size_t>(n));
-      return true;
-    }
-  };
-  while (std::count(response.begin(), response.end(), '\n') <
-         static_cast<long>(skip_lines + 1)) {
-    if (!read_more()) break;
-  }
-  while (skip_lines > 0) {
-    const std::size_t nl = response.find('\n');
-    if (nl == std::string::npos) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    const std::string ack = response.substr(0, nl);
-    if (ack.rfind("ok", 0) != 0) {
-      ::close(fd);
-      return ack;  // hello rejected: surface the daemon's error
-    }
-    response.erase(0, nl + 1);
-    --skip_lines;
-  }
-  std::size_t nl;
-  while ((nl = response.find('\n')) == std::string::npos) {
-    if (!read_more()) break;
-  }
-  nl = response.find('\n');
-  if (nl == std::string::npos) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  // Multi-line answer: keep reading until the announced body has arrived.
-  // The count is parsed strictly — a daemon (or an impostor on the port)
-  // announcing `ok lines=banana` or a 40-digit count is a protocol error
-  // surfaced as `err ...` (exit 1), never an abort or a silent mis-framing.
-  const std::string header = response.substr(0, nl);
-  std::size_t body_lines = 0;
-  if (header.rfind("ok lines=", 0) == 0) {
-    const auto n = fedtune::net::parse_ok_lines_header(header);
-    if (!n.has_value()) {
-      ::close(fd);
-      return "err malformed response header '" + header + "'";
-    }
-    body_lines = *n;
-  }
-  std::size_t have =
-      static_cast<std::size_t>(std::count(response.begin(), response.end(),
-                                          '\n'));
-  while (have < body_lines + 1) {
-    if (!read_more()) break;
-    have = static_cast<std::size_t>(std::count(response.begin(),
-                                               response.end(), '\n'));
-  }
-  ::close(fd);
-  if (body_lines > 0) {
-    // Return header + body; trim one trailing newline if present.
-    if (!response.empty() && response.back() == '\n') response.pop_back();
-    return response;
-  }
-  return response.substr(0, nl);
-}
-
+// One request on a fresh connection; nullopt when no reply came back (the
+// retryable case).
 std::optional<std::string> roundtrip(const Endpoint& ep,
+                                     const ClientOptions& opts,
                                      const std::string& line) {
-  return ep.binary ? roundtrip_binary(ep, line) : roundtrip_text(ep, line);
+  fedtune::net::Client client(ep, opts);
+  std::optional<std::string> reply = client.request(line);
+  if (!reply.has_value() &&
+      client.error() == fedtune::net::Client::Error::kProtocolError) {
+    throw ProtocolError(ep.describe() + ": " + client.error_message());
+  }
+  return reply;
 }
 
-// roundtrip() with jittered exponential-backoff retries on connection
-// failure, bounded by `timeout_seconds`. One attempt is always made, so a
-// zero/negative timeout degrades to plain roundtrip().
-std::optional<std::string> roundtrip_retry(const Endpoint& ep,
-                                           const std::string& line,
-                                           double timeout_seconds) {
+// Tries each candidate in order (the one endpoint, or a study's primary
+// then its follower) until one replies, retrying with jittered exponential
+// backoff until `timeout_seconds` passes. One round is always made, so a
+// zero/negative timeout degrades to a single attempt per candidate. A dead
+// primary costs one failed connect per round; the follower answers the
+// same request — auto-promoting server-side when the study only exists
+// there as a replica.
+std::optional<std::string> roundtrip_retry(
+    const std::vector<Endpoint>& candidates, const ClientOptions& opts,
+    const std::string& line, double timeout_seconds) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   // Jitter decorrelates concurrent clients; it is seeded per process, not
@@ -315,8 +108,10 @@ std::optional<std::string> roundtrip_retry(const Endpoint& ep,
       static_cast<unsigned>(::getpid()) * 2654435761u + 1u);
   double delay_ms = 10.0;
   for (;;) {
-    const auto response = roundtrip(ep, line);
-    if (response.has_value()) return response;
+    for (const Endpoint& ep : candidates) {
+      const auto response = roundtrip(ep, opts, line);
+      if (response.has_value()) return response;
+    }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return std::nullopt;
     const double remaining_ms =
@@ -330,57 +125,16 @@ std::optional<std::string> roundtrip_retry(const Endpoint& ep,
   }
 }
 
-int wait_for_finish(const Endpoint& ep, const std::string& name,
+// Polls `status NAME` on the first candidate that answers until the study
+// reports state=finished (exit 0) or the timeout passes (exit 1).
+int wait_for_finish(const std::vector<Endpoint>& candidates,
+                    const ClientOptions& opts, const std::string& name,
                     double timeout_seconds) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   while (std::chrono::steady_clock::now() < deadline) {
-    const auto response = roundtrip(ep, "status " + name);
-    if (response.has_value() &&
-        response->find("state=finished") != std::string::npos) {
-      std::cout << *response << "\n";
-      return 0;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::cerr << "error: study '" << name << "' did not finish within "
-            << timeout_seconds << "s\n";
-  return 1;
-}
-
-// Failover round trip: try each candidate in order (primary first, then the
-// follower), looping with backoff until one answers or the deadline passes.
-// A dead primary therefore costs one failed connect per loop; the follower
-// answers the same request — auto-promoting server-side when the study only
-// exists there as a replica.
-std::optional<std::string> roundtrip_failover(
-    const std::vector<Endpoint>& candidates, const std::string& line,
-    double timeout_seconds) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  double delay_ms = 10.0;
-  for (;;) {
     for (const Endpoint& ep : candidates) {
-      const auto response = roundtrip(ep, line);
-      if (response.has_value()) return response;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return std::nullopt;
-    const double remaining_ms =
-        std::chrono::duration<double, std::milli>(deadline - now).count();
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        std::min(delay_ms, remaining_ms)));
-    delay_ms = std::min(delay_ms * 2.0, 500.0);
-  }
-}
-
-int wait_for_finish_any(const std::vector<Endpoint>& candidates,
-                        const std::string& name, double timeout_seconds) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    for (const Endpoint& ep : candidates) {
-      const auto response = roundtrip(ep, "status " + name);
+      const auto response = roundtrip(ep, opts, "status " + name);
       if (response.has_value() &&
           response->find("state=finished") != std::string::npos) {
         std::cout << *response << "\n";
@@ -396,19 +150,9 @@ int wait_for_finish_any(const std::vector<Endpoint>& candidates,
   return 1;
 }
 
-Endpoint endpoint_for(const fedtune::cluster::ClusterMember& m,
-                      const Endpoint& base) {
-  Endpoint ep = base;
-  ep.unix_path.clear();
-  ep.tcp_host = m.host;
-  ep.tcp_port = m.port;
-  return ep;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Endpoint ep;
+  ClientOptions opts;
   double timeout_seconds = 5.0;
   std::string cluster_file;
   std::vector<std::string> words;
@@ -432,47 +176,44 @@ int main(int argc, char** argv) {
       int port = -1;
       try {
         if (colon != std::string::npos) {
-          ep.tcp_host = spec.substr(0, colon);
+          ep.host = spec.substr(0, colon);
           port = std::stoi(spec.substr(colon + 1));
         }
       } catch (const std::exception&) {
         port = -1;
       }
-      if (port < 0 || port > 65535 || ep.tcp_host.empty()) {
+      if (port < 0 || port > 65535 || ep.host.empty()) {
         std::cerr << "error: bad --tcp spec '" << spec
                   << "' (want HOST:PORT)\n";
         return 2;
       }
-      ep.tcp_port = static_cast<std::uint16_t>(port);
-    } else if (a == "--binary") {
-      ep.binary = true;
+      ep.port = static_cast<std::uint16_t>(port);
     } else if (a == "--cluster") {
       cluster_file = next();
     } else if (a == "--tenant") {
-      ep.tenant = fedtune::tools::parse_u64_flag(a, next());
+      opts.tenant = fedtune::tools::parse_u64_flag(a, next());
     } else if (a == "--token") {
-      ep.token = next();
+      opts.token = next();
     } else if (a == "--timeout") {
       timeout_seconds = fedtune::tools::parse_double_flag(a, next());
     } else if (a == "--help" || a == "-h") {
       std::cout
           << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT | "
              "--cluster FILE)\n"
-             "                   [--binary] [--tenant N] [--token T]\n"
+             "                   [--tenant N] [--token T]\n"
              "                   [--timeout SEC] VERB [ARGS...]\n"
              "       fedtune_ctl (--socket PATH | --tcp HOST:PORT) wait "
              "NAME TIMEOUT_SEC\n"
              "\n"
-             "transport:\n"
-             "  --socket PATH             Unix socket, text protocol\n"
-             "  --tcp HOST:PORT           TCP; text protocol unless "
-             "--binary\n"
+             "transport (length-prefixed frames; replies print as ok/err "
+             "lines):\n"
+             "  --socket PATH             Unix socket\n"
+             "  --tcp HOST:PORT           TCP\n"
              "  --cluster FILE            roster file (ID HOST:PORT lines); "
              "study\n"
              "                            verbs route to the study's primary "
              "and\n"
              "                            fail over to its follower\n"
-             "  --binary                  length-prefixed frame protocol\n"
              "  --tenant N --token T      authenticate as tenant N (sends "
              "hello)\n"
              "\n"
@@ -520,19 +261,23 @@ int main(int argc, char** argv) {
              "  route NAME                print the study's placement "
              "(--cluster)\n"
              "\n"
-             "exit codes: 0 ok, 1 daemon err/wait timeout, 2 usage,\n"
+             "exit codes: 0 ok, 1 daemon err/wait timeout/protocol error,\n"
+             "            2 usage,\n"
              "            3 connect failure past --timeout\n";
       return 0;
+    } else if (a.rfind("--", 0) == 0) {
+      std::cerr << "error: unknown flag '" << a << "' (see --help)\n";
+      return 2;
     } else {
       words.push_back(a);
     }
   }
   const int given = (!ep.unix_path.empty() ? 1 : 0) +
-                    (!ep.tcp_host.empty() ? 1 : 0) +
+                    (!ep.host.empty() ? 1 : 0) +
                     (!cluster_file.empty() ? 1 : 0);
   if (given == 0 || words.empty()) {
     std::cerr << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT | "
-                 "--cluster FILE) [--binary] [--tenant N] [--token T] "
+                 "--cluster FILE) [--tenant N] [--token T] "
                  "[--timeout SEC] VERB [ARGS...]\n";
     return 2;
   }
@@ -541,14 +286,13 @@ int main(int argc, char** argv) {
         << "error: pass exactly one of --socket / --tcp / --cluster\n";
     return 2;
   }
-  if (ep.binary && ep.tcp_host.empty() && cluster_file.empty()) {
-    std::cerr << "error: --binary needs --tcp\n";
-    return 2;
-  }
 
   // --cluster: compute the study's placement client-side and talk to the
   // primary, falling over to the follower when the primary stops answering.
-  if (!cluster_file.empty()) {
+  std::vector<Endpoint> candidates;
+  if (cluster_file.empty()) {
+    candidates.push_back(ep);
+  } else {
     std::optional<fedtune::cluster::Placement> placement;
     try {
       placement.emplace(fedtune::cluster::Roster::load(cluster_file));
@@ -572,64 +316,59 @@ int main(int argc, char** argv) {
       std::cout << "\n";
       return 0;
     }
-    std::vector<Endpoint> candidates;
+    // Study verbs go to the study's primary, then its follower; fleet-wide
+    // verbs (ping, list, metrics, ...) to the first live member.
     const bool scoped = (study_scoped_verb(verb) || verb == "wait") &&
                         words.size() >= 2;
     if (scoped) {
       const auto p = placement->place(words[1]);
-      candidates.push_back(endpoint_for(p.primary, ep));
+      candidates.push_back(Endpoint::tcp(p.primary.host, p.primary.port));
       if (p.follower.has_value()) {
-        candidates.push_back(endpoint_for(*p.follower, ep));
+        candidates.push_back(
+            Endpoint::tcp(p.follower->host, p.follower->port));
       }
     } else {
-      // Fleet-wide verbs (ping, list, metrics, ...): first live member.
       for (const auto& m : placement->roster().members()) {
-        candidates.push_back(endpoint_for(m, ep));
+        candidates.push_back(Endpoint::tcp(m.host, m.port));
       }
     }
-    if (verb == "wait") {
-      if (words.size() != 3) {
-        std::cerr << "usage: fedtune_ctl --cluster FILE wait NAME "
-                     "TIMEOUT_SEC\n";
-        return 2;
-      }
-      return wait_for_finish_any(
-          candidates, words[1],
-          fedtune::tools::parse_double_flag("wait TIMEOUT_SEC", words[2]));
-    }
-    std::string line = words[0];
-    for (std::size_t i = 1; i < words.size(); ++i) line += " " + words[i];
-    const auto response =
-        roundtrip_failover(candidates, line, timeout_seconds);
-    if (!response.has_value()) {
-      std::cerr << "error: no cluster member answered within "
-                << timeout_seconds << "s\n";
-      return 3;
-    }
-    std::cout << *response << "\n";
-    return response->rfind("ok", 0) == 0 ? 0 : 1;
   }
 
   if (words[0] == "wait") {
     if (words.size() != 3) {
-      std::cerr << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT) "
-                   "wait NAME TIMEOUT_SEC\n";
+      std::cerr << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT | "
+                   "--cluster FILE) wait NAME TIMEOUT_SEC\n";
       return 2;
     }
     return wait_for_finish(
-        ep, words[1],
+        candidates, opts, words[1],
         fedtune::tools::parse_double_flag("wait TIMEOUT_SEC", words[2]));
   }
   std::string line = words[0];
   for (std::size_t i = 1; i < words.size(); ++i) line += " " + words[i];
-  const auto response = roundtrip_retry(ep, line, timeout_seconds);
+  const auto response =
+      roundtrip_retry(candidates, opts, line, timeout_seconds);
   if (!response.has_value()) {
     // Distinct from a daemon-side `err` (1) and from usage (2): scripts can
     // tell "unreachable" apart from "reached but refused".
-    std::cerr << "error: cannot reach daemon at " << ep.describe()
+    std::cerr << "error: "
+              << (cluster_file.empty() ? "cannot reach daemon at " +
+                                             ep.describe()
+                                       : "no cluster member answered")
               << " within " << timeout_seconds << "s\n";
     return 3;
   }
   std::cout << *response << "\n";
   return response->rfind("ok", 0) == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const ProtocolError& ex) {
+    std::cerr << "error: protocol error from " << ex.what() << "\n";
+    return 1;
+  }
 }

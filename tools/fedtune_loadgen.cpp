@@ -4,7 +4,7 @@
 // reports throughput plus ask→tell latency percentiles as bench JSON.
 //
 //   fedtune_loadgen (--tcp HOST:PORT | --socket PATH) [--tenants N]
-//                   [--studies M] [--trials T] [--mode text|binary]
+//                   [--studies M] [--trials T] [--mode binary]
 //                   [--token TOK] [--timeout SEC] [--json PATH]
 //
 // Each tenant is one connection driven by a non-blocking state machine on
@@ -18,22 +18,19 @@
 //
 // One ask→tell sample is the full control-plane cycle: send `ask`, receive
 // the trial, send `tell`, receive the commit ack — the latency a real
-// external tuner loop would observe per trial. --mode picks the wire
-// protocol (binary frames by default; text exercises the compat shim).
-// With --token, every tenant opens with `hello <tenant> <token>` (pair it
-// with a daemon --auth-file listing tenants 1..N).
+// external tuner loop would observe per trial. Requests are frames
+// (net/frame.hpp), the daemon's only wire format; `--mode binary` is
+// accepted for older scripts. With --token, every tenant opens with a
+// kHello frame carrying the token (pair it with a daemon --auth-file
+// listing tenants 1..N).
 //
 // Output (stdout or --json): tenants/studies/trials, completed_studies,
 // failed_requests, dropped_connections, frames sent/received, elapsed,
 // frames_per_sec, ask_tell_p50_us/p99_us. Exit 0 only if every study
 // completed and no connection was dropped.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -42,7 +39,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -53,6 +50,7 @@
 
 #include "flag_parse.hpp"
 
+#include "net/client.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 
@@ -62,19 +60,15 @@ using namespace fedtune;
 using Clock = std::chrono::steady_clock;
 
 struct Options {
-  std::string tcp_host;
-  std::uint16_t tcp_port = 0;
-  std::string unix_path;
-  // Failover target (--failover HOST:PORT): when the primary connection
-  // drops mid-study, the tenant reconnects here, probes the study with
-  // `status` (which auto-promotes the follower's replica server-side), and
-  // resumes its ask/tell loop where the journal left off.
-  std::string failover_host;
-  std::uint16_t failover_port = 0;
+  net::Endpoint target;  // --tcp HOST:PORT or --socket PATH
+  // Failover target (--failover HOST:PORT; port 0 = none): when the primary
+  // connection drops mid-study, the tenant reconnects here, probes the
+  // study with `status` (which auto-promotes the follower's replica
+  // server-side), and resumes its ask/tell loop where the journal left off.
+  net::Endpoint failover;
   std::size_t tenants = 8;
   std::size_t studies = 1;   // per tenant, sequential
   std::size_t trials = 4;    // ask/tell rounds per study
-  bool binary = true;
   std::string token;
   double timeout_s = 120.0;
   std::string json_path;  // empty = stdout
@@ -207,47 +201,9 @@ class LoadGen {
   }
 
   bool start_connect(Client& c) {
-    int fd = -1;
-    if (!opts_.unix_path.empty()) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (fd < 0) return false;
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      if (opts_.unix_path.size() >= sizeof(addr.sun_path)) {
-        ::close(fd);
-        return false;
-      }
-      std::strncpy(addr.sun_path, opts_.unix_path.c_str(),
-                   sizeof(addr.sun_path) - 1);
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-              0 &&
-          errno != EINPROGRESS && errno != EAGAIN) {
-        ::close(fd);
-        return false;
-      }
-    } else {
-      fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (fd < 0) return false;
-      const std::string& host =
-          c.endpoint == 0 ? opts_.tcp_host : opts_.failover_host;
-      const std::uint16_t port =
-          c.endpoint == 0 ? opts_.tcp_port : opts_.failover_port;
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(port);
-      if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return false;
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-              0 &&
-          errno != EINPROGRESS) {
-        ::close(fd);
-        return false;
-      }
-    }
+    const int fd = net::connect_endpoint(
+        c.endpoint == 0 ? opts_.target : opts_.failover, /*nonblocking=*/true);
+    if (fd < 0) return false;
     c.fd = fd;
     c.state = State::kConnecting;
     ++live_;
@@ -278,12 +234,8 @@ class LoadGen {
       loop_.modify(c.fd, EPOLLIN);
       if (!opts_.token.empty()) {
         c.state = State::kHello;
-        // Binary hello carries only the token (tenant rides in the frame
-        // header); the text form spells both out.
-        send_request(c, "hello",
-                     opts_.binary
-                         ? opts_.token
-                         : std::to_string(c.tenant) + " " + opts_.token);
+        // The token is the payload; the tenant rides in the frame header.
+        send_request(c, net::Opcode::kHello, opts_.token);
       } else if (c.failover_pending) {
         begin_probe(c);
       } else {
@@ -316,28 +268,18 @@ class LoadGen {
   // Parses every complete response in c.in; false if the client was closed.
   bool drain_responses(Client& c) {
     for (;;) {
-      std::string response;
-      if (opts_.binary) {
-        const net::DecodeResult r = net::decode_frame(c.in);
-        if (r.status == net::DecodeStatus::kNeedMore) return true;
-        if (r.status == net::DecodeStatus::kBad) {
-          fail(c, "bad frame from daemon");
-          return false;
-        }
-        c.in.erase(0, r.consumed);
-        const char* prefix =
-            r.frame.opcode == net::Opcode::kOk ? "ok" : "err";
-        response = r.frame.payload.empty()
-                       ? std::string(prefix)
-                       : std::string(prefix) + " " + r.frame.payload;
-      } else {
-        const std::size_t nl = c.in.find('\n');
-        if (nl == std::string::npos) return true;
-        response = c.in.substr(0, nl);
-        c.in.erase(0, nl + 1);
+      const net::DecodeResult r = net::decode_frame(c.in);
+      if (r.status == net::DecodeStatus::kNeedMore) return true;
+      const std::optional<std::string> response =
+          r.status == net::DecodeStatus::kFrame ? net::reply_line(r.frame)
+                                                : std::nullopt;
+      if (!response.has_value()) {
+        fail(c, "bad frame from daemon");
+        return false;
       }
+      c.in.erase(0, r.consumed);
       ++stats_.frames_received;
-      if (!on_response(c, response)) return false;
+      if (!on_response(c, *response)) return false;
     }
   }
 
@@ -414,7 +356,7 @@ class LoadGen {
         c.state = State::kTell;
         char obj[48];
         std::snprintf(obj, sizeof(obj), "%.17g", objective(c));
-        send_request(c, "tell",
+        send_request(c, net::Opcode::kTell,
                      study_name(c) + " " + std::to_string(c.trial_id) + " " +
                          obj);
         return true;
@@ -459,7 +401,7 @@ class LoadGen {
   void begin_create(Client& c) {
     c.state = State::kCreate;
     c.trial = 0;
-    send_request(c, "create-study",
+    send_request(c, net::Opcode::kCreateStudy,
                  study_name(c) + " external seed=" +
                      std::to_string(c.tenant * 1000 + c.study) +
                      " max-trials=" + std::to_string(opts_.trials));
@@ -468,31 +410,26 @@ class LoadGen {
   void begin_ask(Client& c) {
     c.state = State::kAsk;
     c.ask_start = Clock::now();
-    send_request(c, "ask", study_name(c));
+    send_request(c, net::Opcode::kAsk, study_name(c));
   }
 
   void begin_probe(Client& c) {
     c.state = State::kProbe;
-    send_request(c, "status", study_name(c));
+    send_request(c, net::Opcode::kStatus, study_name(c));
   }
 
   void begin_suspend(Client& c) {
     c.state = State::kSuspend;
-    send_request(c, "suspend", study_name(c));
+    send_request(c, net::Opcode::kSuspend, study_name(c));
   }
 
-  void send_request(Client& c, const std::string& verb,
-                    const std::string& args) {
+  void send_request(Client& c, net::Opcode op, const std::string& args) {
     ++stats_.frames_sent;
-    if (opts_.binary) {
-      net::Frame f;
-      f.opcode = *net::opcode_for_verb(verb);
-      f.tenant = c.tenant;
-      f.payload = args;
-      c.out += net::encode_frame(f);
-    } else {
-      c.out += args.empty() ? verb + "\n" : verb + " " + args + "\n";
-    }
+    net::Frame f;
+    f.opcode = op;
+    f.tenant = c.tenant;
+    f.payload = args;
+    c.out += net::encode_frame(f);
     flush(c);
   }
 
@@ -534,7 +471,7 @@ class LoadGen {
     // With --failover, a dropped connection re-routes instead of failing
     // the run: reconnect to the other endpoint and probe the study there.
     // The cap stops a flapping pair of daemons from ping-ponging forever.
-    if (opts_.failover_port != 0 && c.failovers < 4 &&
+    if (opts_.failover.port != 0 && c.failovers < 4 &&
         c.state != State::kDone && c.state != State::kFailed) {
       ++c.failovers;
       ++stats_.failovers;
@@ -590,8 +527,8 @@ class LoadGen {
     std::ostringstream js;
     js << "{\n"
        << "  \"transport\": \""
-       << (opts_.unix_path.empty() ? "tcp" : "unix") << "\",\n"
-       << "  \"mode\": \"" << (opts_.binary ? "binary" : "text") << "\",\n"
+       << (opts_.target.unix_path.empty() ? "tcp" : "unix") << "\",\n"
+       << "  \"mode\": \"binary\",\n"
        << "  \"tenants\": " << opts_.tenants << ",\n"
        << "  \"studies_per_tenant\": " << opts_.studies << ",\n"
        << "  \"trials_per_study\": " << opts_.trials << ",\n"
@@ -637,7 +574,7 @@ int usage(int rc) {
                "                       [--failover HOST:PORT]\n"
                "                       [--tenants N] [--studies M] "
                "[--trials T]\n"
-               "                       [--mode text|binary] [--token TOK]\n"
+               "                       [--mode binary] [--token TOK]\n"
                "                       [--prefix P] [--timeout SEC] "
                "[--json PATH]\n";
   return rc;
@@ -676,21 +613,20 @@ int main(int argc, char** argv) {
     };
     if (a == "--tcp") {
       const std::string spec = next();
-      if (!parse_hostport(spec, &opts.tcp_host, &opts.tcp_port)) {
+      if (!parse_hostport(spec, &opts.target.host, &opts.target.port)) {
         std::cerr << "error: bad --tcp spec '" << spec
                   << "' (want HOST:PORT)\n";
         return 2;
       }
     } else if (a == "--failover") {
       const std::string spec = next();
-      if (!parse_hostport(spec, &opts.failover_host,
-                          &opts.failover_port)) {
+      if (!parse_hostport(spec, &opts.failover.host, &opts.failover.port)) {
         std::cerr << "error: bad --failover spec '" << spec
                   << "' (want HOST:PORT)\n";
         return 2;
       }
     } else if (a == "--socket") {
-      opts.unix_path = next();
+      opts.target.unix_path = next();
     } else if (a == "--tenants") {
       opts.tenants = tools::parse_size_flag(a, next());
     } else if (a == "--studies") {
@@ -698,13 +634,11 @@ int main(int argc, char** argv) {
     } else if (a == "--trials") {
       opts.trials = tools::parse_size_flag(a, next());
     } else if (a == "--mode") {
-      const std::string m = next();
-      if (m == "text") {
-        opts.binary = false;
-      } else if (m == "binary") {
-        opts.binary = true;
-      } else {
-        std::cerr << "error: --mode must be text|binary\n";
+      // Frames are the only wire format; the flag survives for scripts
+      // that spell the default out.
+      if (std::string(next()) != "binary") {
+        std::cerr << "error: --mode must be binary (frames are the only "
+                     "wire format)\n";
         return 2;
       }
     } else if (a == "--token") {
@@ -719,11 +653,11 @@ int main(int argc, char** argv) {
       return usage(a == "--help" || a == "-h" ? 0 : 2);
     }
   }
-  if (opts.tcp_host.empty() == opts.unix_path.empty()) {
+  if (opts.target.host.empty() == opts.target.unix_path.empty()) {
     std::cerr << "error: pass exactly one of --tcp / --socket\n";
     return 2;
   }
-  if (opts.failover_port != 0 && opts.tcp_host.empty()) {
+  if (opts.failover.port != 0 && opts.target.host.empty()) {
     std::cerr << "error: --failover needs --tcp\n";
     return 2;
   }

@@ -1,8 +1,7 @@
 // fedtune_studyd — the StudyService daemon: serves tuning studies over TCP
 // and/or a Unix domain socket off one epoll event loop, speaking the
-// length-prefixed binary frame protocol with a newline-delimited text
-// compatibility shim (per-connection mode sniffing; see src/README.md
-// §Network protocol).
+// length-prefixed binary frame protocol (see src/README.md §Network
+// protocol).
 //
 //   fedtune_studyd [--socket PATH] [--tcp [HOST:]PORT] [--port-file PATH]
 //                  [--journal-dir DIR] [--autodrive] [--pool-configs N]
@@ -26,7 +25,7 @@
 // studies advance only through explicit `drive` requests (tests).
 //
 // Multi-tenancy: --auth-file loads `TENANT_ID TOKEN` lines; with it set,
-// TCP clients must `hello TENANT TOKEN` before any other verb (Unix
+// TCP clients must send a kHello frame before any other request (Unix
 // connections are local and pre-trusted). --quota-fps/--quota-burst cap
 // each tenant's request rate with a token bucket; --quota-studies caps a
 // tenant's concurrent studies — all enforced at the connection layer,

@@ -1,5 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the frame checksum
-// of the service study journals (service/journal.hpp).
+// of record logs (common/record_log.hpp) and of network frames
+// (net/frame.hpp).
 //
 // Header-only, table-driven, no dependency on zlib. The table is built once
 // per process on first use; crc32() over a buffer is the standard

@@ -6,14 +6,12 @@
 // for each distinct evaluation once. Built on the Env abstraction so the
 // fault-injection suite can crash/fail every write boundary.
 //
-// File format (same framing discipline as service/journal.hpp):
-//   u64 magic (kEvalCacheMagic)
-//   frame*: u32 payload_size | u32 crc32(payload) | payload
-//   payload: u8 type(kEntry) | string fingerprint | u64 fidelity |
-//            u64 noise_signature | f64 noisy_objective | f64 full_error
-// Each entry is one contiguous append. open() scans frame-by-frame,
-// truncates a torn/corrupt tail, and keeps first-write-wins for duplicate
-// keys (concurrent tenants may both evaluate a config before either insert
+// File format: a RecordLog (common/record_log.hpp owns the magic, the
+// CRC framing, tail healing and the atomic rewrite) whose payloads are
+//   u8 type(kEntry) | string fingerprint | u64 fidelity |
+//   u64 noise_signature | f64 noisy_objective | f64 full_error
+// Each entry is one frame. open() keeps first-write-wins for duplicate keys
+// (concurrent tenants may both evaluate a config before either insert
 // lands; the first recorded outcome is the canonical one).
 //
 // Durability is BEST-EFFORT by design: insert() always updates the
@@ -35,6 +33,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/record_log.hpp"
 #include "hpo/middleware.hpp"
 
 namespace fedtune::obs {
@@ -74,28 +73,20 @@ class EvalCache : public hpo::EvalStore {
   const std::string& path() const { return path_; }
 
  private:
-  EvalCache(Env& env, std::string path, std::unique_ptr<WritableFile> file,
-            std::uint64_t durable, bool sync_on_commit);
-
-  // Serializes and appends one entry; absorbs IoError into degraded_.
-  void append_entry(const hpo::EvalKey& key, const hpo::EvalOutcome& outcome);
-  void heal_to_durable();
+  EvalCache(Env& env, std::string path, RecordLog log, bool sync_on_commit);
 
   Env* env_;
   std::string path_;
-  std::unique_ptr<WritableFile> file_;
-  std::uint64_t durable_ = 0;  // last byte offset known to be a frame boundary
+  RecordLog log_;  // broken after an unhealable failure, until compact()
   bool sync_on_commit_ = false;
   bool degraded_ = false;
-  bool broken_ = false;  // heal failed; stop touching the file until compact()
 
   mutable std::mutex mu_;
   std::map<hpo::EvalKey, hpo::EvalOutcome> map_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 
-  // fedtune_evalcache_*{cache=<file stem>} registry series, resolved once
-  // at open() — one cache per pool keeps the label set bounded.
+  // fedtune_evalcache_*{cache=<file stem>} series, resolved once at open().
   obs::Counter* hits_counter_ = nullptr;
   obs::Counter* misses_counter_ = nullptr;
   obs::Counter* inserts_counter_ = nullptr;

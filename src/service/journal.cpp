@@ -1,10 +1,9 @@
 #include "service/journal.hpp"
 
 #include <chrono>
-#include <cstring>
+#include <optional>
 
 #include "common/check.hpp"
-#include "common/crc32.hpp"
 #include "common/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,35 +16,25 @@ namespace {
 // sees paths, not tenant identities, and per-path labels would make series
 // cardinality track journal-directory history. Per-tenant latency lives one
 // layer up in fedtune_study_ask_tell_seconds (src/README.md §Observability).
-obs::Histogram& append_seconds() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "fedtune_journal_append_seconds");
-  return h;
-}
-obs::Histogram& fsync_seconds() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "fedtune_journal_fsync_seconds");
-  return h;
-}
-obs::Counter& append_bytes_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "fedtune_journal_append_bytes_total");
-  return c;
-}
-obs::Counter& append_failures_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "fedtune_journal_append_failures_total");
-  return c;
-}
-obs::Histogram& recover_seconds() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "fedtune_journal_recover_seconds");
-  return h;
-}
-obs::Counter& recover_truncated_bytes_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "fedtune_journal_recover_truncated_bytes_total");
-  return c;
+struct JournalMetrics {
+  obs::Histogram& append_seconds;
+  obs::Histogram& fsync_seconds;
+  obs::Counter& append_bytes;
+  obs::Counter& append_failures;
+  obs::Histogram& recover_seconds;
+  obs::Counter& recover_truncated_bytes;
+};
+
+JournalMetrics& metrics() {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  static JournalMetrics m{
+      reg.histogram("fedtune_journal_append_seconds"),
+      reg.histogram("fedtune_journal_fsync_seconds"),
+      reg.counter("fedtune_journal_append_bytes_total"),
+      reg.counter("fedtune_journal_append_failures_total"),
+      reg.histogram("fedtune_journal_recover_seconds"),
+      reg.counter("fedtune_journal_recover_truncated_bytes_total")};
+  return m;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -54,9 +43,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 // v2 of the journal format (v2 appended the eval-cache/limit spec fields).
-// Bump the low word on any layout change — recovery rejects unknown magic
-// rather than misreading stale journals.
-constexpr std::uint64_t kJournalMagic = 0xfed75d0a00000002ULL;
+// Bump the low word of the magic on any layout change — recovery rejects
+// unknown magic rather than misreading stale journals. The create record
+// defines the study, so a journal whose first frame is unreadable is
+// rejected, not healed.
+constexpr RecordFormat kJournalFormat{.magic = 0xfed75d0a00000002ULL,
+                                      .max_payload = 64u << 20,
+                                      .first_frame_required = true,
+                                      .what = "journal"};
 
 enum RecordType : std::uint8_t {
   kCreate = 1,
@@ -65,10 +59,6 @@ enum RecordType : std::uint8_t {
   kSelection = 4,
   kSnapshot = 5,
 };
-
-// Frames larger than this are treated as corruption (a torn length word
-// would otherwise ask recovery to trust a multi-gigabyte "payload").
-constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 
 void write_config(BufferWriter& w, const hpo::Config& config) {
   w.write_u64(config.size());
@@ -170,11 +160,27 @@ StudySpec read_spec(BufferReader& r) {
   return spec;
 }
 
-}  // namespace
-
-bool StudyJournal::exists(const std::string& path, Env* env) {
-  return env_or_real(env).exists(path);
+// One record's payload: its type byte, then whatever `fields` writes.
+template <typename Fields>
+std::string encode(RecordType type, const Fields& fields) {
+  BufferWriter payload;
+  payload.write_u8(type);
+  fields(payload);
+  return payload.bytes();
 }
+
+std::string encode_create(const StudySpec& spec) {
+  return encode(kCreate, [&](BufferWriter& w) { write_spec(w, spec); });
+}
+
+std::string encode_selection(std::int64_t best_id, double best_full_error) {
+  return encode(kSelection, [&](BufferWriter& w) {
+    w.write_i64(best_id);
+    w.write_f64(best_full_error);
+  });
+}
+
+}  // namespace
 
 StudyJournal StudyJournal::create(const std::string& path,
                                   const StudySpec& spec, Env* env,
@@ -182,16 +188,9 @@ StudyJournal StudyJournal::create(const std::string& path,
   Env& e = env_or_real(env);
   FEDTUNE_CHECK_MSG(!e.exists(path), "journal already exists: " << path);
   try {
-    StudyJournal journal(e, path, e.open_writable(path, Env::WriteMode::kTruncate),
-                         /*durable=*/0, sync_on_commit);
-    const std::uint64_t magic = kJournalMagic;
-    journal.file_->append(
-        std::string_view(reinterpret_cast<const char*>(&magic), sizeof(magic)));
-    journal.durable_ = sizeof(magic);
-    BufferWriter payload;
-    payload.write_u8(kCreate);
-    write_spec(payload, spec);
-    journal.append_frame(payload.bytes());
+    StudyJournal journal(
+        RecordLog::create(e, path, kJournalFormat, sync_on_commit));
+    journal.append_frame(encode_create(spec));
     return journal;
   } catch (const IoError&) {
     // A failed create must not leave a stub claiming the study name: the
@@ -208,108 +207,42 @@ StudyJournal StudyJournal::append_to(const std::string& path, Env* env,
                                      bool sync_on_commit) {
   Env& e = env_or_real(env);
   FEDTUNE_CHECK_MSG(e.exists(path), "no journal at " << path);
-  const std::uint64_t size = e.file_size(path);
-  std::uint64_t magic = 0;
-  if (size >= sizeof(magic)) {
-    const std::string bytes = e.read_file(path);
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
-  }
-  FEDTUNE_CHECK_MSG(magic == kJournalMagic, "not a study journal: " << path);
-  // The caller ran recover() first, so everything on disk is a valid frame
-  // prefix — the current size is the durable boundary.
-  return StudyJournal(e, path, e.open_writable(path, Env::WriteMode::kAppend),
-                      size, sync_on_commit);
+  return StudyJournal(RecordLog::open(e, path, kJournalFormat, sync_on_commit));
 }
 
 void StudyJournal::append_frame(const std::string& payload) {
-  FEDTUNE_CHECK(payload.size() <= kMaxPayloadBytes);
-  if (broken_ || file_ == nullptr) {
-    throw IoError(IoErrorKind::kPersistent, "append", path_,
-                  "journal is broken (an earlier failure could not be healed)");
-  }
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  // One contiguous append per frame: the OS sees frame-at-a-time writes, so
-  // only injected faults (or a mid-write crash) can tear a frame.
-  std::string frame;
-  frame.reserve(2 * sizeof(std::uint32_t) + payload.size());
-  frame.append(reinterpret_cast<const char*>(&size), sizeof(size));
-  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  frame.append(payload);
+  RecordLog::Appended appended;
   try {
     obs::TraceSpan span("journal.append", "journal");
     const auto t0 = std::chrono::steady_clock::now();
-    file_->append(frame);
-    append_seconds().observe(seconds_since(t0));
-    if (sync_on_commit_) {
-      const auto s0 = std::chrono::steady_clock::now();
-      file_->sync();
-      fsync_seconds().observe(seconds_since(s0));
-    }
-    append_bytes_total().add(frame.size());
+    appended = log_.append(payload);
+    JournalMetrics& m = metrics();
+    m.append_seconds.observe(seconds_since(t0) -
+                             appended.sync_seconds.value_or(0.0));
+    if (appended.sync_seconds) m.fsync_seconds.observe(*appended.sync_seconds);
+    m.append_bytes.add(appended.frame.size());
   } catch (const IoError&) {
-    append_failures_total().add(1);
-    heal_to_durable();
+    metrics().append_failures.add(1);
     throw;
   }
-  const std::uint64_t offset = durable_;
-  durable_ += frame.size();
   if (sink_) {
-    JournalMutation m;
-    m.kind = JournalMutation::Kind::kAppend;
-    m.offset = offset;
-    m.bytes = std::move(frame);
-    sink_(m);
-  }
-}
-
-void StudyJournal::heal_to_durable() {
-  try {
-    if (file_ != nullptr) {
-      try {
-        file_->close();
-      } catch (const IoError&) {  // close error does not block the truncate
-      }
-      file_.reset();
-    }
-    env_->truncate_file(path_, durable_);
-    file_ = env_->open_writable(path_, Env::WriteMode::kAppend);
-  } catch (const IoError&) {
-    // Could not restore a clean frame boundary; refuse further appends. The
-    // on-disk prefix is still recoverable — recover() truncates the tail.
-    broken_ = true;
+    sink_({JournalMutation::Kind::kAppend, appended.offset,
+           std::move(appended.frame)});
   }
 }
 
 void StudyJournal::append_ask(const hpo::Trial& trial) {
-  BufferWriter payload;
-  payload.write_u8(kAsk);
-  write_trial(payload, trial);
-  append_frame(payload.bytes());
+  append_frame(encode(kAsk, [&](BufferWriter& w) { write_trial(w, trial); }));
 }
 
 void StudyJournal::append_tell(const core::TrialRecord& record) {
-  BufferWriter payload;
-  payload.write_u8(kTell);
-  write_record(payload, record);
-  append_frame(payload.bytes());
+  append_frame(
+      encode(kTell, [&](BufferWriter& w) { write_record(w, record); }));
 }
 
 void StudyJournal::append_selection(std::int64_t best_id,
                                     double best_full_error) {
-  BufferWriter payload;
-  payload.write_u8(kSelection);
-  payload.write_i64(best_id);
-  payload.write_f64(best_full_error);
-  append_frame(payload.bytes());
-}
-
-void StudyJournal::append_snapshot(std::span<const core::TrialRecord> steps) {
-  BufferWriter payload;
-  payload.write_u8(kSnapshot);
-  payload.write_u64(steps.size());
-  for (const core::TrialRecord& rec : steps) write_record(payload, rec);
-  append_frame(payload.bytes());
+  append_frame(encode_selection(best_id, best_full_error));
 }
 
 RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
@@ -317,133 +250,96 @@ RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
   const auto t0 = std::chrono::steady_clock::now();
   Env& e = env_or_real(env);
   FEDTUNE_CHECK_MSG(e.exists(path), "no journal at " << path);
-  const std::string bytes = e.read_file(path);
-
-  FEDTUNE_CHECK_MSG(bytes.size() >= sizeof(std::uint64_t),
-                    "journal too short for header: " << path);
-  std::uint64_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  FEDTUNE_CHECK_MSG(magic == kJournalMagic,
-                    "unknown journal magic in " << path);
 
   RecoveredStudy study;
   bool have_spec = false;
   std::optional<hpo::Trial> pending_ask;
-  std::size_t pos = sizeof(magic);
-  std::size_t valid_end = pos;
-
-  while (pos + 2 * sizeof(std::uint32_t) <= bytes.size()) {
-    std::uint32_t size = 0, crc = 0;
-    std::memcpy(&size, bytes.data() + pos, sizeof(size));
-    std::memcpy(&crc, bytes.data() + pos + sizeof(size), sizeof(crc));
-    const std::size_t payload_pos = pos + 2 * sizeof(std::uint32_t);
-    if (size > kMaxPayloadBytes) break;                 // torn length word
-    if (payload_pos + size > bytes.size()) break;       // torn payload
-    if (crc32(bytes.data() + payload_pos, size) != crc) break;  // bit rot
-
-    // Each case reads its whole payload and validates full consumption
-    // BEFORE mutating the study: a frame rejected halfway (trailing bytes
-    // inside a CRC-clean frame = writer/reader version skew, treated like
-    // any other corruption) must leave no partial state behind.
-    BufferReader r(std::span<const char>(bytes.data() + payload_pos, size));
-    try {
-      const auto consumed = [&r] {
-        if (!r.at_end()) throw std::invalid_argument("payload trailing bytes");
-      };
-      const std::uint8_t type = r.read_u8();
-      switch (type) {
-        case kCreate: {
-          // Valid only as the first record.
-          if (have_spec) throw std::invalid_argument("duplicate create");
-          StudySpec spec = read_spec(r);
-          consumed();
-          study.spec = std::move(spec);
-          have_spec = true;
-          break;
-        }
-        case kAsk: {
-          // A re-issued ask after a crash-mid-step may repeat the dangling
-          // one; the latest ask is the live one.
-          if (!have_spec) throw std::invalid_argument("ask before create");
-          hpo::Trial trial = read_trial(r);
-          consumed();
-          pending_ask = std::move(trial);
-          break;
-        }
-        case kTell: {
-          if (!pending_ask.has_value()) {
-            throw std::invalid_argument("tell without ask");
-          }
-          core::TrialRecord rec = read_record(r);
-          consumed();
-          if (rec.trial.id != pending_ask->id) {
-            throw std::invalid_argument("tell does not match ask");
-          }
-          study.steps.push_back(std::move(rec));
-          pending_ask.reset();
-          break;
-        }
-        case kSelection: {
-          if (!have_spec) throw std::invalid_argument("selection before create");
-          const std::int64_t best_id = r.read_i64();
-          const double best_full_error = r.read_f64();
-          consumed();
-          study.best_id = best_id;
-          study.best_full_error = best_full_error;
-          study.finished = true;
-          break;
-        }
-        case kSnapshot: {
-          if (!have_spec) throw std::invalid_argument("snapshot before create");
-          const std::uint64_t n = r.read_u64();
-          std::vector<core::TrialRecord> steps;
-          steps.reserve(n);
-          for (std::uint64_t i = 0; i < n; ++i) {
-            steps.push_back(read_record(r));
-          }
-          consumed();
-          study.steps = std::move(steps);
-          pending_ask.reset();
-          break;
-        }
-        default:
-          throw std::invalid_argument("unknown record type");
-      }
-    } catch (const std::exception&) {
-      break;
+  // Each case reads its whole payload and validates full consumption BEFORE
+  // mutating the study: a frame rejected halfway (trailing bytes inside a
+  // CRC-clean frame = writer/reader version skew, treated like any other
+  // corruption) must leave no partial state behind.
+  const auto replay = [&](BufferReader& r) {
+    const auto consumed = [&r] {
+      if (!r.at_end()) throw std::invalid_argument("payload trailing bytes");
+    };
+    const std::uint8_t type = r.read_u8();
+    if ((type == kCreate) == have_spec) {
+      throw std::invalid_argument("create must be the first record, once");
     }
-    pos = payload_pos + size;
-    valid_end = pos;
-  }
-
-  FEDTUNE_CHECK_MSG(have_spec, "journal has no valid create record: " << path);
-
-  // Truncate the torn/corrupt tail so the next append starts at a clean
-  // frame boundary. A dangling ask stays in the file (it is a valid frame);
-  // recovery simply ignores it and the resumed tuner re-issues the trial.
-  study.truncated_bytes = bytes.size() - valid_end;
+    switch (type) {
+      case kCreate: {
+        StudySpec spec = read_spec(r);
+        consumed();
+        study.spec = std::move(spec);
+        have_spec = true;
+        break;
+      }
+      case kAsk: {
+        // A re-issued ask after a crash-mid-step may repeat the dangling
+        // one; the latest ask is the live one.
+        hpo::Trial trial = read_trial(r);
+        consumed();
+        pending_ask = std::move(trial);
+        break;
+      }
+      case kTell: {
+        core::TrialRecord rec = read_record(r);
+        consumed();
+        if (!pending_ask.has_value() || rec.trial.id != pending_ask->id) {
+          throw std::invalid_argument("tell does not match the pending ask");
+        }
+        study.steps.push_back(std::move(rec));
+        pending_ask.reset();
+        break;
+      }
+      case kSelection: {
+        const std::int64_t best_id = r.read_i64();
+        const double best_full_error = r.read_f64();
+        consumed();
+        study.best_id = best_id;
+        study.best_full_error = best_full_error;
+        study.finished = true;
+        break;
+      }
+      case kSnapshot: {
+        const std::uint64_t n = r.read_u64();
+        std::vector<core::TrialRecord> steps;
+        steps.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) steps.push_back(read_record(r));
+        consumed();
+        study.steps = std::move(steps);
+        pending_ask.reset();
+        break;
+      }
+      default:
+        throw std::invalid_argument("unknown record type");
+    }
+  };
+  // A dangling ask stays in the file (it is a valid frame); recovery simply
+  // ignores it and the resumed tuner re-issues the trial.
+  study.truncated_bytes = RecordLog::recover(e, path, kJournalFormat, replay);
   if (study.truncated_bytes > 0) {
-    e.truncate_file(path, valid_end);
-    recover_truncated_bytes_total().add(study.truncated_bytes);
+    metrics().recover_truncated_bytes.add(study.truncated_bytes);
   }
-  recover_seconds().observe(seconds_since(t0));
+  metrics().recover_seconds.observe(seconds_since(t0));
   return study;
 }
 
-void StudyJournal::compact(const std::string& path, Env* env,
-                           bool sync_on_commit) {
-  Env& e = env_or_real(env);
+StudyJournal StudyJournal::compact(const std::string& path, Env* env,
+                                   bool sync_on_commit) {
   const RecoveredStudy study = recover(path, env);
-  const std::string tmp = path + ".tmp";
-  e.remove_file(tmp);
-  {
-    StudyJournal journal = create(tmp, study.spec, env, sync_on_commit);
-    journal.append_snapshot(study.steps);
-    if (study.finished) {
-      journal.append_selection(study.best_id, study.best_full_error);
-    }
+  const auto snapshot = [&](BufferWriter& w) {
+    w.write_u64(study.steps.size());
+    for (const core::TrialRecord& rec : study.steps) write_record(w, rec);
+  };
+  std::vector<std::string> payloads = {encode_create(study.spec),
+                                       encode(kSnapshot, snapshot)};
+  if (study.finished) {
+    payloads.push_back(encode_selection(study.best_id, study.best_full_error));
   }
-  e.rename_file(tmp, path);
+  RecordLog::rewrite(env_or_real(env), path, kJournalFormat, payloads,
+                     sync_on_commit);
+  return append_to(path, env, sync_on_commit);
 }
 
 }  // namespace fedtune::service

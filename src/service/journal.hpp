@@ -9,65 +9,32 @@
 // re-running the tuner against the journaled tells; the result is bitwise
 // identical to a run that never stopped.
 //
-// File layout (little-endian, common/serialize.hpp):
-//
-//   u64 kJournalMagic                      — versioned; unknown magic rejected
-//   record*                                — CRC-framed, appended + flushed
-//
-//   record  := u32 payload_size, u32 crc32(payload), payload
-//   payload := u8 type, fields...          (BufferWriter layout)
-//
-// Record types:
-//   create    — the StudySpec; must be the journal's first record
-//   ask       — the trial issued for the next step (crash between ask and
-//               tell leaves a dangling ask; recovery discards it and the
-//               resumed tuner deterministically re-issues the same trial)
-//   tell      — the step's outcome (trial id, noisy objective, full error,
-//               cumulative rounds); completes the preceding ask
+// File format: a record log (common/record_log.hpp) whose payloads are
+// `u8 type, fields...` in BufferWriter layout (common/serialize.hpp):
+//   create    — the StudySpec; must be the first record
+//   ask       — the trial issued for the next step (a crash before its tell
+//               leaves a dangling ask; the resumed tuner re-issues it)
+//   tell      — the step's outcome; completes the preceding ask
 //   selection — the tuner's final pick; marks the study finished
-//   snapshot  — all completed TrialRecords in one compact record; written
-//               by compact(), replaces the ask/tell prefix
+//   snapshot  — all completed TrialRecords; written by compact()
+// A frame that breaks these rules or carries trailing bytes ends the valid
+// prefix like a torn one.
 //
-// I/O goes through Env (common/env.hpp): write failures surface as IoError
-// (transient vs persistent — the study layer's retry/quarantine ladder keys
-// off the kind), and tests route journals through a FaultInjectingEnv to
-// exercise every failure mode deterministically.
-//
-// Durability: every append pushes a whole frame to the OS in one Env append
-// before the service acknowledges the step — durable across PROCESS crashes
-// (SIGKILL, OOM-kill, aborts), the contract the tests and CI enforce.
-// Machine-level crashes (power loss) can still lose page-cache tails unless
-// sync_on_commit is set, which fsyncs after every frame (orders of magnitude
-// slower; bench/bench_micro_substrate.cpp measures the gap). Either way,
-// recovery's tail-truncation handles whatever the filesystem preserved.
-// On recovery, the first unreadable frame — short header, short payload,
-// CRC mismatch, malformed or over-long payload — ends the valid prefix;
-// the file is truncated there (torn tails heal) and everything before it
-// is replayed. A journal whose create record is unreadable is rejected.
-//
-// Failed appends heal in place: the journal tracks the durable byte boundary
-// (end of the last acknowledged frame) and, when an append or sync throws,
-// truncates the file back to it before rethrowing — a torn partial frame
-// never survives into the next attempt, so retrying the append after a
-// transient error is safe. If the heal itself fails the journal marks itself
-// broken (good() == false) and every later append throws a persistent
-// IoError; the on-disk prefix stays recoverable.
-//
-// Compaction: compact() atomically rewrites the journal as
-// {create, snapshot[, selection]} — bounded file size and recovery work for
-// arbitrarily long studies. The whole sequence (recover, tmp write, rename)
-// is idempotent: it can crash or fail at any point and simply be re-run.
+// Durability: every append reaches the OS as one whole frame before the
+// service acknowledges the step — durable across PROCESS crashes, the
+// contract the tests and CI enforce. sync_on_commit adds an fsync per frame
+// for machine crashes (bench/bench_micro_substrate.cpp prices it). A failed
+// append heals to the durable boundary before it rethrows IoError, so the
+// study layer's retry/quarantine ladder can simply retry.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/record_log.hpp"
 #include "core/tuning_driver.hpp"
 #include "service/study_spec.hpp"
 
@@ -127,21 +94,17 @@ class StudyJournal {
   static StudyJournal append_to(const std::string& path, Env* env = nullptr,
                                 bool sync_on_commit = false);
 
-  // Atomically rewrites the journal as {create, snapshot[, selection]}:
-  // writes `path`.tmp, then renames over `path`. The journal must not be
-  // open for appending. Safe to re-run after any partial failure.
-  static void compact(const std::string& path, Env* env = nullptr,
-                      bool sync_on_commit = false);
+  // Atomically rewrites the journal as {create, snapshot[, selection]},
+  // bounding file size and recovery work, and reopens it for appending
+  // (close the old handle first). Safe to re-run after any failure.
+  static StudyJournal compact(const std::string& path, Env* env = nullptr,
+                              bool sync_on_commit = false);
 
-  static bool exists(const std::string& path, Env* env = nullptr);
-
-  // Appends one record as a single frame-sized Env append (plus an fsync
-  // when sync_on_commit). Throws IoError on failure after healing the file
-  // back to the durable boundary.
+  // Appends one record as one frame. Throws IoError on failure after
+  // healing the file back to the durable boundary.
   void append_ask(const hpo::Trial& trial);
   void append_tell(const core::TrialRecord& record);
   void append_selection(std::int64_t best_id, double best_full_error);
-  void append_snapshot(std::span<const core::TrialRecord> steps);
 
   // Installs the replication sink; pass {} to detach. The sink sees every
   // subsequent durable frame as a kAppend at its offset. It does NOT see
@@ -151,27 +114,18 @@ class StudyJournal {
   void set_sink(JournalSink sink) { sink_ = std::move(sink); }
 
   // False once a failed append could not be healed; appends then throw.
-  bool good() const { return !broken_ && file_ != nullptr; }
+  bool good() const { return log_.good(); }
 
   // End of the last acknowledged frame — the recovery point.
-  std::uint64_t durable_bytes() const { return durable_; }
+  std::uint64_t durable_bytes() const { return log_.durable_bytes(); }
 
  private:
-  StudyJournal(Env& env, std::string path, std::unique_ptr<WritableFile> file,
-               std::uint64_t durable, bool sync_on_commit)
-      : env_(&env), path_(std::move(path)), file_(std::move(file)),
-        durable_(durable), sync_on_commit_(sync_on_commit) {}
+  explicit StudyJournal(RecordLog log) : log_(std::move(log)) {}
 
+  // Appends one payload frame, records the journal metrics, feeds the sink.
   void append_frame(const std::string& payload);
-  // Close + truncate to durable_ + reopen; marks broken_ if that fails.
-  void heal_to_durable();
 
-  Env* env_;
-  std::string path_;
-  std::unique_ptr<WritableFile> file_;
-  std::uint64_t durable_ = 0;
-  bool sync_on_commit_ = false;
-  bool broken_ = false;
+  RecordLog log_;
   JournalSink sink_;
 };
 

@@ -5,7 +5,9 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/placement.hpp"
@@ -17,17 +19,34 @@ namespace fedtune::service {
 
 namespace {
 
-// Strict u64 parse for repl offsets: digits only, bounded width. Offsets
-// come from a peer daemon, not a trusted CLI — a bare std::stoull would
-// abort on garbage.
-std::optional<std::uint64_t> parse_offset(const std::string& word) {
-  if (word.empty() || word.size() > 19) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : word) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+// The one parser for numbers from the wire. Requests come from any
+// authenticated tenant or a peer daemon, not a trusted CLI, so a number must
+// be the whole token: std::stoul would read "12abc" as 12, wrap "-1" to
+// SIZE_MAX, and abort on garbage. Integers are unsigned digits only, at most
+// 19 (no u64 overflow) and within T's range; doubles keep std::stod's
+// grammar, hex floats included, but refuse out-of-range values.
+template <typename T>
+std::optional<T> parse_number(const std::string& word) {
+  if constexpr (std::is_floating_point_v<T>) {
+    try {
+      std::size_t used = 0;
+      const T value = std::stod(word, &used);
+      if (used == word.size()) return value;
+    } catch (const std::exception&) {
+    }
+    return std::nullopt;
+  } else {
+    if (word.empty() || word.size() > 19) return std::nullopt;
+    std::uint64_t value = 0;
+    for (const char c : word) {
+      if (c < '0' || c > '9') return std::nullopt;
+      value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+      return std::nullopt;
+    }
+    return static_cast<T>(value);
   }
-  return value;
 }
 
 std::vector<std::string> split_words(const std::string& line) {
@@ -101,6 +120,12 @@ std::string ServiceHandler::handle(const std::string& line, bool* running) {
     if (verb == "repl-append") return repl_append(words);
     if (verb == "repl-ack") return repl_ack(words);
     if (verb == "repl-snapshot") return repl_snapshot(words);
+    static const std::set<std::string> kStudyVerbs = {
+        "promote", "resume",  "status", "best", "trace",
+        "suspend", "ask",     "tell",   "drive"};
+    if (kStudyVerbs.count(verb) == 0) {
+      return "err unknown verb '" + verb + "'";
+    }
     if (words.size() < 2) return "err missing study name";
     const std::string& name = words[1];
     if (verb == "promote") return promote(name);
@@ -174,18 +199,20 @@ std::string ServiceHandler::metrics() {
   return "ok lines=" + std::to_string(n) + "\n" + body;
 }
 
+// Writes only to the daemon's own --trace-out: the path is never taken from
+// the request, so a tenant cannot make the daemon write files elsewhere.
 std::string ServiceHandler::trace_export(
     const std::vector<std::string>& words) {
-  const std::string path = words.size() >= 2 ? words[1] : trace_out_;
-  if (path.empty()) {
-    return "err no trace path (pass PATH or start with --trace-out)";
+  if (words.size() != 1) return "err usage: trace-export";
+  if (trace_out_.empty()) {
+    return "err no trace path (start the daemon with --trace-out)";
   }
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
-  if (!rec.write_chrome_trace(path)) {
-    return "err cannot write trace to '" + path + "'";
+  if (!rec.write_chrome_trace(trace_out_)) {
+    return "err cannot write trace to '" + trace_out_ + "'";
   }
   return "ok events=" + std::to_string(rec.events()) +
-         " dropped=" + std::to_string(rec.dropped()) + " path=" + path;
+         " dropped=" + std::to_string(rec.dropped()) + " path=" + trace_out_;
 }
 
 std::string ServiceHandler::cache_stats() {
@@ -219,6 +246,12 @@ std::string ServiceHandler::create_study(
   spec.name = words[1];
   spec.pool = default_pool_;
   spec.num_configs = 8;
+  const auto set_number = [](auto& field, const std::string& value) {
+    const auto v =
+        parse_number<std::remove_reference_t<decltype(field)>>(value);
+    if (v.has_value()) field = *v;
+    return v.has_value();
+  };
   for (std::size_t i = 2; i < words.size(); ++i) {
     const std::string& w = words[i];
     const std::size_t eq = w.find('=');
@@ -229,26 +262,27 @@ std::string ServiceHandler::create_study(
     if (eq == std::string::npos) return "err malformed option '" + w + "'";
     const std::string key = w.substr(0, eq);
     const std::string value = w.substr(eq + 1);
+    bool ok = true;
     if (key == "method") {
       const auto m = method_from_name(value);
       if (!m.has_value()) return "err unknown method '" + value + "'";
       spec.method = *m;
     } else if (key == "configs") {
-      spec.num_configs = std::stoul(value);
+      ok = set_number(spec.num_configs, value);
     } else if (key == "budget") {
-      spec.budget_rounds = std::stoul(value);
+      ok = set_number(spec.budget_rounds, value);
     } else if (key == "seed") {
-      spec.seed = std::stoull(value);
+      ok = set_number(spec.seed, value);
     } else if (key == "pool") {
       spec.pool = value;
     } else if (key == "eval-clients") {
-      spec.noise.eval_clients = std::stoul(value);
+      ok = set_number(spec.noise.eval_clients, value);
     } else if (key == "epsilon") {
-      spec.noise.epsilon = std::stod(value);
+      ok = set_number(spec.noise.epsilon, value);
     } else if (key == "bias-b") {
-      spec.noise.bias_b = std::stod(value);
+      ok = set_number(spec.noise.bias_b, value);
     } else if (key == "deadline") {
-      spec.deadline_slices = std::stoul(value);
+      ok = set_number(spec.deadline_slices, value);
     } else if (key == "cache") {
       if (value != "on" && value != "off") {
         return "err cache must be on|off";
@@ -260,10 +294,11 @@ std::string ServiceHandler::create_study(
       }
       spec.warm_start = value == "on";
     } else if (key == "max-trials") {
-      spec.max_trials = std::stoul(value);
+      ok = set_number(spec.max_trials, value);
     } else {
       return "err unknown option '" + key + "'";
     }
+    if (!ok) return "err bad " + key + " '" + value + "'";
   }
   StudySession& s = manager_.create_study(std::move(spec));
   return "ok created " + s.spec().name;
@@ -343,9 +378,11 @@ std::string ServiceHandler::ask(StudySession& s) {
 std::string ServiceHandler::tell(StudySession& s,
                                  const std::vector<std::string>& words) {
   if (words.size() != 4) return "err usage: tell NAME TRIAL_ID OBJECTIVE";
-  const int trial_id = std::stoi(words[2]);
-  const double objective = std::stod(words[3]);
-  const core::TrialRecord r = s.tell(trial_id, objective);
+  const auto id = parse_number<int>(words[2]);
+  if (!id.has_value()) return "err bad trial id '" + words[2] + "'";
+  const auto objective = parse_number<double>(words[3]);
+  if (!objective.has_value()) return "err bad objective '" + words[3] + "'";
+  const core::TrialRecord r = s.tell(*id, *objective);
   return "ok recorded trial=" + std::to_string(r.trial.id) +
          " steps=" + std::to_string(s.steps());
 }
@@ -368,7 +405,7 @@ std::string ServiceHandler::repl_append(
   if (words.size() != 4) {
     return "err usage: repl-append STUDY BASE_OFFSET HEXBYTES";
   }
-  const auto base = parse_offset(words[2]);
+  const auto base = parse_number<std::uint64_t>(words[2]);
   if (!base.has_value()) return "err bad offset '" + words[2] + "'";
   const auto bytes = cluster::hex_decode(words[3]);
   if (!bytes.has_value()) return "err bad hex payload";
@@ -452,9 +489,10 @@ std::string ServiceHandler::cluster_info(
 std::string ServiceHandler::drive(StudySession& s,
                                   const std::vector<std::string>& words) {
   if (words.size() != 3) return "err usage: drive NAME STEPS";
-  const std::size_t steps = std::stoul(words[2]);
+  const auto steps = parse_number<std::size_t>(words[2]);
+  if (!steps.has_value()) return "err bad steps '" + words[2] + "'";
   std::size_t ran = 0;
-  for (; ran < steps; ++ran) {
+  for (; ran < *steps; ++ran) {
     if (!s.run_one_step()) break;
   }
   return "ok ran=" + std::to_string(ran) +

@@ -42,7 +42,7 @@ class ServiceHandler {
   // `manager` outlives the handler. `default_pool` is the pool assigned to
   // create-study requests without an explicit pool= option. `metrics_file`
   // (optional) is rewritten by the `metrics` verb and flush_observability();
-  // `trace_out` (optional) is the default target of `trace-export`.
+  // `trace_out` (optional) is the only target of `trace-export`.
   ServiceHandler(StudyManager& manager, std::string default_pool,
                  std::string metrics_file = "", std::string trace_out = "");
 
@@ -94,7 +94,7 @@ class ServiceHandler {
   StudyManager& manager_;
   std::string default_pool_;
   std::string metrics_file_;  // rewritten by `metrics` and at shutdown
-  std::string trace_out_;     // default target of `trace-export`
+  std::string trace_out_;     // the only target of `trace-export`
   ClusterContext cluster_;
 };
 

@@ -299,10 +299,8 @@ void StudySession::compact_journal() {
   // The whole sequence (recover, tmp write, rename, reopen) is idempotent,
   // so a transient failure at any point can simply retry it from the top.
   with_journal_retry("compact", [&] {
-    StudyJournal::compact(journal_path_, options_.env,
-                          options_.sync_on_commit);
-    journal_ = StudyJournal::append_to(journal_path_, options_.env,
-                                       options_.sync_on_commit);
+    journal_ = StudyJournal::compact(journal_path_, options_.env,
+                                     options_.sync_on_commit);
   });
   wire_journal_sink();  // the rewrite invalidated every follower offset
   steps_since_compact_ = 0;

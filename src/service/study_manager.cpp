@@ -113,7 +113,7 @@ StudySession& StudyManager::create_study(StudySpec spec) {
                     "invalid study name '" << spec.name << "'");
   FEDTUNE_CHECK_MSG(sessions_.find(spec.name) == sessions_.end(),
                     "study '" << spec.name << "' already active");
-  FEDTUNE_CHECK_MSG(!StudyJournal::exists(journal_path(spec.name), opts_.env),
+  FEDTUNE_CHECK_MSG(!env_or_real(opts_.env).exists(journal_path(spec.name)),
                     "study '" << spec.name
                               << "' already has a journal (resume it)");
   FEDTUNE_CHECK_MSG(sessions_.size() < opts_.max_studies,

@@ -1,12 +1,12 @@
 // Fault-injection tests: the Env abstraction and FaultInjectingEnv itself,
 // IoError surfacing and heal-to-durable in StudyJournal, the StudyManager's
 // retry/quarantine ladder (degraded tenants never take the neighbours or
-// the daemon down), a randomized torn-tail fuzz over every byte offset of a
-// journal's last two frames, and the exhaustive crash-point matrix: for
-// RS/SHA/TPE studies, every write/fsync boundary in a reference run is hit
-// with a crash (forked child, _exit mid-write), recovered, and the resumed
-// trace checked bitwise against the uninterrupted run — with zero
-// re-evaluations.
+// the daemon down), a torn-tail fuzz over every byte offset of the last two
+// frames of a journal and of an eval cache, and the exhaustive crash-point
+// matrix: for RS/SHA/TPE studies, every write/fsync boundary in a reference
+// run is hit with a crash (forked child, _exit mid-write), recovered, and
+// the resumed trace checked bitwise against the uninterrupted run — with
+// zero re-evaluations.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,6 +21,7 @@
 
 #include "common/env.hpp"
 #include "core/config_pool.hpp"
+#include "core/eval_cache.hpp"
 #include "hpo/search_space.hpp"
 #include "nn/factory.hpp"
 #include "service/journal.hpp"
@@ -536,9 +537,10 @@ TEST_F(FaultFixture, TornTailFuzzEveryByteOffsetOfLastTwoFrames) {
     return steps;
   };
   // Largest frame boundary <= `offset`: where recovery must truncate to.
-  const auto healed_size = [&](std::uint64_t offset) {
-    std::uint64_t best = frame_ends.front();
-    for (const std::uint64_t end : frame_ends) {
+  const auto healed_size = [](const std::vector<std::uint64_t>& ends,
+                              std::uint64_t offset) {
+    std::uint64_t best = ends.front();
+    for (const std::uint64_t end : ends) {
       if (end <= offset && end > best) best = end;
     }
     return best;
@@ -563,7 +565,7 @@ TEST_F(FaultFixture, TornTailFuzzEveryByteOffsetOfLastTwoFrames) {
     }
     // The heal truncated back to a frame boundary, and a recovered journal
     // accepts appends again.
-    EXPECT_EQ(Env::real().file_size(scratch), healed_size(cut))
+    EXPECT_EQ(Env::real().file_size(scratch), healed_size(frame_ends, cut))
         << "cut=" << cut;
     StudyJournal reopened = StudyJournal::append_to(scratch);
     hpo::Trial t;
@@ -596,6 +598,66 @@ TEST_F(FaultFixture, TornTailFuzzEveryByteOffsetOfLastTwoFrames) {
           << "pos=" << pos;
     }
     Env::real().remove_file(scratch);
+  }
+
+  // The eval cache is the second input: the same record log, so the same
+  // cuts and flips over its last two frames must keep exactly the entries
+  // whose frames end at or before the damage, in a file healed to the last
+  // whole frame.
+  const std::string cache_ref = dir + "/ref.evalcache";
+  std::vector<std::uint64_t> cache_ends;  // [0] = end of the magic
+  std::vector<std::pair<hpo::EvalKey, hpo::EvalOutcome>> entries;
+  {
+    auto cache = core::EvalCache::open(cache_ref);
+    cache_ends.push_back(Env::real().file_size(cache_ref));
+    for (int i = 0; i < 5; ++i) {
+      const hpo::EvalKey key{"client_lr=" + std::to_string(i) + ";", 9, 99};
+      const hpo::EvalOutcome outcome{0.5 - 0.01 * i, 0.25 + 0.005 * i};
+      ASSERT_TRUE(cache->insert(key, outcome));
+      cache_ends.push_back(Env::real().file_size(cache_ref));
+      entries.emplace_back(key, outcome);
+    }
+  }
+  const std::string cache_pristine = Env::real().read_file(cache_ref);
+  ASSERT_EQ(cache_pristine.size(), cache_ends.back());
+  const std::string cache_scratch = dir + "/fuzz.evalcache";
+  const auto check_cache = [&](const std::string& bytes,
+                               std::uint64_t damage) {
+    auto f =
+        Env::real().open_writable(cache_scratch, Env::WriteMode::kTruncate);
+    f->append(bytes);
+    f->close();
+    auto cache = core::EvalCache::open(cache_scratch);
+    std::size_t kept = 0;
+    while (kept + 1 < cache_ends.size() && cache_ends[kept + 1] <= damage) {
+      ++kept;
+    }
+    EXPECT_EQ(cache->entries(), kept) << "damage=" << damage;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const auto hit = cache->lookup(entries[i].first);
+      ASSERT_EQ(hit.has_value(), i < kept) << "damage=" << damage;
+      if (hit.has_value()) {
+        EXPECT_EQ(bits(hit->noisy_objective),
+                  bits(entries[i].second.noisy_objective));
+        EXPECT_EQ(bits(hit->full_error), bits(entries[i].second.full_error));
+      }
+    }
+    EXPECT_EQ(Env::real().file_size(cache_scratch),
+              healed_size(cache_ends, damage))
+        << "damage=" << damage;
+    cache.reset();
+    Env::real().remove_file(cache_scratch);
+  };
+  const std::uint64_t cache_last_two = cache_ends[cache_ends.size() - 3];
+  for (std::uint64_t cut = cache_last_two; cut < cache_pristine.size();
+       ++cut) {
+    check_cache(cache_pristine.substr(0, cut), cut);
+  }
+  for (std::uint64_t pos = cache_last_two; pos < cache_pristine.size();
+       ++pos) {
+    std::string bytes = cache_pristine;
+    bytes[pos] = static_cast<char>(~bytes[pos]);
+    check_cache(bytes, pos);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/journal.hpp"
+#include "service/service_handler.hpp"
 #include "service/study.hpp"
 #include "service/study_manager.hpp"
 #include "test_util.hpp"
@@ -812,6 +813,97 @@ TEST_F(ServiceFixture, StudyMetricsAppearInGlobalExposition) {
       << text;
   EXPECT_NE(text.find("fedtune_journal_append_seconds_count"),
             std::string::npos);
+}
+
+// --------------------------------------------------- wire verb handling
+
+// trace-export writes only to the daemon's --trace-out; a request can never
+// pick the path the daemon writes.
+TEST_F(ServiceFixture, TraceExportWritesOnlyToTraceOut) {
+  const std::string dir = fresh_dir();
+  std::filesystem::create_directories(dir);
+  const std::string chosen = dir + "/chosen.json";
+  bool running = true;
+
+  StudyManager mgr(manager_options(dir));
+  ServiceHandler plain(mgr, "p");
+  EXPECT_EQ(plain.handle("trace-export", &running).rfind("err no trace", 0),
+            0u);
+  EXPECT_EQ(plain.handle("trace-export " + chosen, &running),
+            "err usage: trace-export");
+
+  const std::string trace_out = dir + "/trace.json";
+  ServiceHandler traced(mgr, "p", "", trace_out);
+  EXPECT_EQ(traced.handle("trace-export " + chosen, &running),
+            "err usage: trace-export");
+  EXPECT_FALSE(std::filesystem::exists(chosen));
+  const std::string ok = traced.handle("trace-export", &running);
+  EXPECT_EQ(ok.rfind("ok events=", 0), 0u) << ok;
+  EXPECT_NE(ok.find(" path=" + trace_out), std::string::npos) << ok;
+  EXPECT_TRUE(std::filesystem::exists(trace_out));
+}
+
+// Numbers from the wire parse strictly: whole token, no sign, no wrap, no
+// silent prefix. Rejected requests change nothing.
+TEST_F(ServiceFixture, HandlerParsesWireNumbersStrictly) {
+  const std::string dir = fresh_dir();
+  StudyManager mgr(manager_options(dir));
+  mgr.register_pool("p", pool_);
+  ServiceHandler handler(mgr, "p");
+  bool running = true;
+  ASSERT_EQ(handler.handle("create-study s external max-trials=3", &running),
+            "ok created s");
+  ASSERT_EQ(handler.handle("create-study m configs=4", &running),
+            "ok created m");
+  const std::string asked = handler.handle("ask s", &running);
+  ASSERT_EQ(asked.rfind("ok id=0 ", 0), 0u) << asked;
+
+  const struct {
+    const char* request;
+    const char* response;
+  } kCases[] = {
+      {"tell s 0x 0.5", "err bad trial id '0x'"},
+      {"tell s -1 0.5", "err bad trial id '-1'"},
+      {"tell s 0abc 0.5", "err bad trial id '0abc'"},
+      {"tell s 2147483648 0.5", "err bad trial id '2147483648'"},
+      {"tell s 0 0.5x", "err bad objective '0.5x'"},
+      {"tell s 0 1e999", "err bad objective '1e999'"},
+      {"tell s 0 junk", "err bad objective 'junk'"},
+      {"create-study b external configs=-1", "err bad configs '-1'"},
+      {"create-study b external configs=12abc", "err bad configs '12abc'"},
+      {"create-study b external configs=", "err bad configs ''"},
+      {"create-study b seed=-5", "err bad seed '-5'"},
+      {"create-study b seed=+5", "err bad seed '+5'"},
+      {"create-study b budget=0x10", "err bad budget '0x10'"},
+      {"create-study b eval-clients=1e3", "err bad eval-clients '1e3'"},
+      {"create-study b deadline=3.0", "err bad deadline '3.0'"},
+      {"create-study b max-trials=99999999999999999999",
+       "err bad max-trials '99999999999999999999'"},
+      {"create-study b epsilon=1.5x", "err bad epsilon '1.5x'"},
+      {"create-study b bias-b=", "err bad bias-b ''"},
+      {"drive m 3x", "err bad steps '3x'"},
+      {"drive m -1", "err bad steps '-1'"},
+      {"foo", "err unknown verb 'foo'"},
+      {"foo s", "err unknown verb 'foo'"},
+      {"status", "err missing study name"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(handler.handle(c.request, &running), c.response) << c.request;
+  }
+  EXPECT_EQ(mgr.list(), (std::vector<std::string>{"m", "s"}));
+  EXPECT_EQ(mgr.find("m")->steps(), 0u);
+
+  // Accepted values keep std::stod's grammar, hex floats included.
+  EXPECT_EQ(handler.handle("tell s 0 0x1p-2", &running),
+            "ok recorded trial=0 steps=1");
+  EXPECT_EQ(bits(mgr.find("s")->result().records.at(0).noisy_objective),
+            bits(0.25));
+  EXPECT_EQ(handler.handle("drive m 2", &running).rfind("ok ran=2 ", 0), 0u);
+  EXPECT_EQ(handler.handle("create-study b external configs=5 seed=7 "
+                           "bias-b=0x1p-3",
+                           &running),
+            "ok created b");
+  EXPECT_EQ(bits(mgr.find("b")->spec().noise.bias_b), bits(0.125));
 }
 
 }  // namespace

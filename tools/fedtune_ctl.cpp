@@ -252,8 +252,9 @@ int run(int argc, char** argv) {
              "pool\n"
              "  metrics                   Prometheus exposition "
              "(multi-line)\n"
-             "  trace-export [PATH]       write Chrome trace JSON on the "
-             "daemon\n"
+             "  trace-export              write Chrome trace JSON to the "
+             "daemon's\n"
+             "                            --trace-out\n"
              "  shutdown                  stop the daemon\n"
              "\n"
              "client-side verbs:\n"

@@ -311,7 +311,6 @@ PoolEvalView ConfigPool::evaluate_on(const nn::Model& architecture,
     src_idx.push_back(view_.checkpoint_index(rounds));
   }
 
-  std::vector<data::ClientData> client_copy(clients.begin(), clients.end());
   PoolEvalView out(checkpoint_subset, data::example_count_weights(clients),
                    configs_.size());
   std::unique_ptr<ThreadPool> local_pool;
@@ -332,7 +331,7 @@ PoolEvalView ConfigPool::evaluate_on(const nn::Model& architecture,
       const auto p = params(c, src_idx[ck]);
       std::copy(p.begin(), p.end(), model.params().begin());
       const std::vector<double> errs =
-          fl::all_client_errors(model, client_copy, inner_threads);
+          fl::all_client_errors(model, clients, inner_threads);
       auto dst = out.errors(c, ck);
       for (std::size_t k = 0; k < errs.size(); ++k) {
         dst[k] = static_cast<float>(errs[k]);

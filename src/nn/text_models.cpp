@@ -1,5 +1,7 @@
 #include "nn/text_models.hpp"
 
+#include <cstring>
+
 #include "tensor/ops.hpp"
 
 namespace fedtune::nn {
@@ -15,6 +17,16 @@ TextMlp::TextMlp(std::size_t vocab, std::size_t context, std::size_t embed_dim,
       out_layer_(store_, hidden_dim, vocab) {
   FEDTUNE_CHECK(context >= 1);
   slot_ids_.resize(context_);
+  if (context * embed_dim > ops::kGemmRowInvariantMaxK ||
+      hidden_dim > ops::kGemmRowInvariantMaxK) {
+    return;
+  }
+  std::size_t contexts = 1;
+  for (std::size_t j = 0; j < context; ++j) {
+    if (contexts > kMaxTableContexts / vocab) return;
+    contexts *= vocab;
+  }
+  table_contexts_ = contexts;
 }
 
 void TextMlp::init(Rng& rng) {
@@ -51,8 +63,8 @@ std::size_t TextMlp::gather(const data::ClientData& client,
 }
 
 void TextMlp::forward_cached() const {
-  const std::size_t total = labels_.size();
-  embedded_.ensure_shape(total, context_ * embed_dim_);
+  const std::size_t rows = slot_ids_.front().size();
+  embedded_.ensure_shape(rows, context_ * embed_dim_);
   for (std::size_t j = 0; j < context_; ++j) {
     embed_.forward(slot_ids_[j], embedded_, j * embed_dim_);
   }
@@ -77,22 +89,69 @@ double TextMlp::forward_backward(const data::ClientData& client,
   return loss;
 }
 
+void TextMlp::refresh_argmax_table() const {
+  const auto p = params();
+  if (table_params_.size() == p.size() &&
+      std::memcmp(table_params_.data(), p.data(), p.size_bytes()) == 0) {
+    return;
+  }
+  argmax_table_.resize(table_contexts_);
+  // Chunks bound the scratch matrices; row invariance keeps every argmax
+  // independent of how the windows are chunked.
+  constexpr std::size_t kChunk = 4096;
+  for (std::size_t start = 0; start < table_contexts_; start += kChunk) {
+    const std::size_t rows = std::min(table_contexts_ - start, kChunk);
+    for (auto& slot : slot_ids_) slot.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::size_t window = start + r;
+      for (std::size_t j = context_; j-- > 0; window /= vocab_) {
+        slot_ids_[j][r] = static_cast<std::int32_t>(window % vocab_);
+      }
+    }
+    forward_cached();
+    for (std::size_t r = 0; r < rows; ++r) {
+      argmax_table_[start + r] =
+          static_cast<std::int32_t>(ops::argmax_row(logits_, r));
+    }
+  }
+  table_params_.assign(p.begin(), p.end());
+}
+
 std::pair<std::size_t, std::size_t> TextMlp::errors(
     const data::ClientData& client) const {
   const std::size_t n = client.num_examples();
   if (n == 0) return {0, 0};
   std::size_t wrong = 0, total = 0;
-  // Chunked evaluation bounds the scratch matrices on large clients.
-  constexpr std::size_t kChunk = 256;
-  std::vector<std::size_t> idx;
-  for (std::size_t start = 0; start < n; start += kChunk) {
-    const std::size_t end = std::min(n, start + kChunk);
-    idx.resize(end - start);
-    for (std::size_t i = start; i < end; ++i) idx[i - start] = i;
-    gather(client, idx);
-    forward_cached();
-    wrong += ops::count_errors(logits_, labels_);
-    total += labels_.size();
+  if (table_contexts_ == 0) {
+    // Chunked evaluation bounds the scratch matrices on large clients.
+    constexpr std::size_t kChunk = 256;
+    std::vector<std::size_t> idx;
+    for (std::size_t start = 0; start < n; start += kChunk) {
+      const std::size_t end = std::min(n, start + kChunk);
+      idx.resize(end - start);
+      for (std::size_t i = start; i < end; ++i) idx[i - start] = i;
+      gather(client, idx);
+      forward_cached();
+      wrong += ops::count_errors(logits_, labels_);
+      total += labels_.size();
+    }
+    return {wrong, total};
+  }
+
+  FEDTUNE_CHECK_MSG(client.seq_len > context_,
+                    "sequences too short for context window");
+  refresh_argmax_table();
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto seq = client.sequence(s);
+    for (std::size_t t = context_; t < client.seq_len; ++t, ++total) {
+      std::size_t window = 0;
+      for (std::size_t j = t - context_; j < t; ++j) {
+        const auto id = static_cast<std::size_t>(seq[j]);
+        FEDTUNE_CHECK(id < vocab_);
+        window = window * vocab_ + id;
+      }
+      if (argmax_table_[window] != seq[t]) ++wrong;
+    }
   }
   return {wrong, total};
 }

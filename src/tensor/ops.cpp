@@ -25,7 +25,9 @@ namespace {
 
 constexpr std::size_t kMr = 6;    // C rows per register block
 constexpr std::size_t kNr = 16;   // C cols per register block
-constexpr std::size_t kKc = 256;  // k-tile: keeps the B panel slice in cache
+// k-tile: keeps the B panel slice in cache. Within one tile every path
+// accumulates each C element in the same order, so rows are invariant.
+constexpr std::size_t kKc = kGemmRowInvariantMaxK;
 
 // Per-thread packing scratch, reused across calls so steady-state training
 // does no allocation here: tl_pack holds the transposed operand of the

@@ -35,6 +35,12 @@ void gemm_nt_raw(const float* a, const float* b, float* c, std::size_t m,
 void gemm_tn_raw(const float* a, const float* b, float* c, std::size_t k,
                  std::size_t m, std::size_t n, bool accumulate);
 
+// Row invariance: for k <= kGemmRowInvariantMaxK (one k tile), every output
+// row of gemm_raw is bitwise the same whatever m is and wherever the row sits
+// in A; rows past that depth may round differently in edge rows. Table
+// evaluation of TextMlp relies on this (tests/test_gemm_kernels.cpp).
+inline constexpr std::size_t kGemmRowInvariantMaxK = 256;
+
 // Reference (pre-blocking) scalar kernels. Retained for correctness tests of
 // the blocked kernels and as the "before" baseline in the substrate
 // microbenchmark — never called on a hot path.

@@ -272,6 +272,25 @@ TEST(Evaluator, AggregateRejectsEmptySample) {
                std::invalid_argument);
 }
 
+TEST(Evaluator, ParallelTextEvaluationMatchesSerialAcrossRounds) {
+  // Each worker's replica builds its own TextMlp argmax table inside const
+  // errors(); the tables must follow the trainer's parameters round by round.
+  const auto ds = testutil::small_text_dataset();
+  const auto arch = nn::make_default_model(ds);
+  FedHyperParams hps = good_hps();
+  hps.client_lr = 0.2;
+  TrainerConfig cfg;
+  cfg.clients_per_round = 5;
+  FedTrainer trainer(ds, *arch, hps, cfg, Rng(11));
+  for (int round = 0; round < 3; ++round) {
+    trainer.run_rounds(1);
+    const auto serial = all_client_errors(trainer.model(), ds.eval_clients);
+    const auto parallel =
+        all_client_errors(trainer.model(), ds.eval_clients, /*num_threads=*/0);
+    EXPECT_EQ(serial, parallel) << "round " << round;
+  }
+}
+
 TEST(Trainer, TextDatasetTrains) {
   const auto ds = testutil::small_text_dataset();
   const auto arch = nn::make_default_model(ds);

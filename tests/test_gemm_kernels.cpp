@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -126,6 +127,44 @@ TEST(GemmBlocked, FusedBiasReluMatchesSeparate) {
   ops::add_row_bias_relu(y, bias);
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_FLOAT_EQ(relu_ref.flat()[i], y.flat()[i]);
+  }
+}
+
+// Row invariance (ops.hpp kGemmRowInvariantMaxK): each output row of a
+// sub-batch GEMM must be bitwise equal to the same row of the full batch,
+// whatever the batch size and row offset. Batch sizes cover the 6-row
+// micro-kernel, the 4-row block, the 1-3 row edge path and the packed-B
+// threshold; TextMlp's argmax table relies on this to evaluate windows in
+// one batch instead of per client.
+TEST(GemmBlocked, OutputRowsInvariantToBatchSizeAndOffset) {
+  constexpr std::size_t kRows = 1024;
+  const std::vector<std::size_t> batches = {1, 4, 5, 6, 7, 23, 24, 25, 576,
+                                            1024};
+  const std::vector<std::size_t> depths = {1, 16, 24, 32, 100,
+                                           ops::kGemmRowInvariantMaxK};
+  const std::vector<std::size_t> widths = {10, 16, 17, 24, 32};
+  Rng rng(47);
+  for (std::size_t k : depths) {
+    for (std::size_t n : widths) {
+      const auto a = random_buf(kRows * k, rng, true);
+      const auto b = random_buf(k * n, rng, false);
+      std::vector<float> full(kRows * n);
+      ops::gemm_raw(a.data(), b.data(), full.data(), kRows, k, n, false);
+      for (std::size_t m : batches) {
+        for (std::size_t offset : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{5}, kRows - m}) {
+          if (offset + m > kRows) continue;
+          std::vector<float> part(m * n);
+          ops::gemm_raw(a.data() + offset * k, b.data(), part.data(), m, k, n,
+                        false);
+          EXPECT_EQ(std::memcmp(part.data(), full.data() + offset * n,
+                                part.size() * sizeof(float)),
+                    0)
+              << "k=" << k << " n=" << n << " m=" << m
+              << " offset=" << offset;
+        }
+      }
+    }
   }
 }
 

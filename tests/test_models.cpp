@@ -1,12 +1,18 @@
 // Model-level tests: gradient checks of every backward pass, overfitting
-// sanity, clone independence, and chunked-evaluation consistency.
+// sanity, clone independence, chunked-evaluation consistency, and TextMlp's
+// argmax-table evaluation against an independent forward.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "nn/gradcheck.hpp"
 #include "nn/mlp.hpp"
 #include "nn/text_models.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace fedtune::nn {
@@ -180,6 +186,164 @@ TEST(TextMlp, ChunkedEvalMatchesSmallBatches) {
     wrong_ref += model.errors(one).first;
   }
   EXPECT_EQ(wrong, wrong_ref);
+}
+
+// TextMlp errors recomputed from params() alone: embedding rows, hidden
+// GEMM + bias, tanh, output GEMM + bias, and count_errors over every
+// predictable position in natural order, in one batch. The parameter layout
+// is the ParamStore allocation order: embedding (V,E), hidden W (C*E,H) and
+// b (H), output W (H,V) and b (V).
+std::pair<std::size_t, std::size_t> reference_errors(
+    const TextMlp& model, std::size_t vocab, std::size_t context,
+    std::size_t embed, std::size_t hidden, const data::ClientData& client) {
+  const auto p = model.params();
+  EXPECT_EQ(p.size(), vocab * embed + context * embed * hidden + hidden +
+                          hidden * vocab + vocab);
+  const float* table = p.data();
+  const float* w1 = table + vocab * embed;
+  const float* b1 = w1 + context * embed * hidden;
+  const float* w2 = b1 + hidden;
+  const float* b2 = w2 + hidden * vocab;
+
+  const std::size_t preds = client.seq_len - context;
+  const std::size_t rows = client.num_examples() * preds;
+  Matrix x(rows, context * embed);
+  std::vector<std::int32_t> labels(rows);
+  std::size_t r = 0;
+  for (std::size_t s = 0; s < client.num_examples(); ++s) {
+    const auto seq = client.sequence(s);
+    for (std::size_t t = context; t < client.seq_len; ++t, ++r) {
+      for (std::size_t j = 0; j < context; ++j) {
+        const auto id = static_cast<std::size_t>(seq[t - context + j]);
+        std::copy(table + id * embed, table + (id + 1) * embed,
+                  x.data() + r * x.cols() + j * embed);
+      }
+      labels[r] = seq[t];
+    }
+  }
+  Matrix pre(rows, hidden), act, logits(rows, vocab);
+  ops::gemm_raw(x.data(), w1, pre.data(), rows, context * embed, hidden,
+                false);
+  ops::add_row_bias(pre, std::span(b1, hidden));
+  ops::tanh_forward(pre, act);
+  ops::gemm_raw(act.data(), w2, logits.data(), rows, hidden, vocab, false);
+  ops::add_row_bias(logits, std::span(b2, vocab));
+  return {ops::count_errors(logits, labels), rows};
+}
+
+TEST(TextMlp, TableEvalMatchesReferenceForContexts1To3) {
+  Rng rng(11);
+  for (std::size_t context : {1, 2, 3}) {
+    TextMlp model(7, context, 4, 5);
+    model.init(rng);
+    const data::ClientData client = small_token_client(rng, 40, 8, 7);
+    EXPECT_EQ(model.errors(client),
+              reference_errors(model, 7, context, 4, 5, client))
+        << "context=" << context;
+  }
+  // The pool-building shape (nn::make_default_model on stackoverflow-like).
+  TextMlp model(32, 2, 8, 24);
+  model.init(rng);
+  const data::ClientData client = small_token_client(rng, 300, 15, 32);
+  EXPECT_EQ(model.errors(client),
+            reference_errors(model, 32, 2, 8, 24, client));
+}
+
+TEST(TextMlp, TableRebuildsWhenOneParameterChanges) {
+  Rng rng(12);
+  TextMlp model(6, 2, 4, 5);
+  model.init(rng);
+  const data::ClientData client = small_token_client(rng, 30, 6, 6);
+  const auto before = model.errors(client);
+  EXPECT_EQ(before, reference_errors(model, 6, 2, 4, 5, client));
+
+  // The last parameter is the output bias of token 5: a huge value makes
+  // every prediction 5, so only positions labelled 5 are right.
+  model.params().back() = 1e6f;
+  const auto after = model.errors(client);
+  EXPECT_EQ(after, reference_errors(model, 6, 2, 4, 5, client));
+  std::size_t not_five = 0;
+  for (std::size_t s = 0; s < client.num_examples(); ++s) {
+    const auto seq = client.sequence(s);
+    for (std::size_t t = 2; t < client.seq_len; ++t) not_five += seq[t] != 5;
+  }
+  EXPECT_EQ(after.first, not_five);
+  EXPECT_NE(after, before);
+}
+
+TEST(TextMlp, ReplicaResetRefreshesTable) {
+  Rng rng(13);
+  TextMlp proto(6, 2, 4, 5);
+  proto.init(rng);
+  const data::ClientData client = small_token_client(rng, 30, 6, 6);
+  ReplicaSet replicas;
+  replicas.reset(proto, 1, /*copy_params=*/true);
+  EXPECT_EQ(replicas.at(0).errors(client),
+            reference_errors(proto, 6, 2, 4, 5, client));
+
+  proto.init(rng);
+  replicas.reset(proto, 1, /*copy_params=*/true);
+  EXPECT_EQ(replicas.at(0).errors(client),
+            reference_errors(proto, 6, 2, 4, 5, client));
+}
+
+TEST(TextMlp, NonFiniteParametersMatchReferenceAndHitCache) {
+  Rng rng(14);
+  // 64^2 windows: a rebuild costs far more than a cached lookup.
+  TextMlp model(64, 2, 4, 8);
+  model.init(rng);
+  const data::ClientData client = small_token_client(rng, 4, 6, 64);
+  auto params = model.params();
+  // Diverged configs: a NaN hidden weight poisons one hidden unit for every
+  // window, Inf output weights saturate the logits.
+  params[64 * 4 + 3] = std::numeric_limits<float>::quiet_NaN();
+  params[params.size() - 64 - 17] = std::numeric_limits<float>::infinity();
+  params[params.size() - 64 - 40] = -std::numeric_limits<float>::infinity();
+  EXPECT_EQ(model.errors(client), reference_errors(model, 64, 2, 4, 8, client));
+
+  // A NaN key must still hit: ten cached calls cost less than one rebuild.
+  // Each side takes its best of three rounds so a preemption cannot flip it.
+  using Clock = std::chrono::steady_clock;
+  Clock::duration cached = Clock::duration::max();
+  Clock::duration rebuild = Clock::duration::max();
+  for (int round = 0; round < 3; ++round) {
+    auto start = Clock::now();
+    for (int i = 0; i < 10; ++i) model.errors(client);
+    cached = std::min(cached, Clock::now() - start);
+
+    params[0] += 1.0f;
+    start = Clock::now();
+    model.errors(client);
+    rebuild = std::min(rebuild, Clock::now() - start);
+  }
+  EXPECT_LT(cached, rebuild);
+  EXPECT_EQ(model.errors(client), reference_errors(model, 64, 2, 4, 8, client));
+}
+
+TEST(TextMlp, TableEvalRejectsOutOfRangeContextTokens) {
+  Rng rng(15);
+  TextMlp model(6, 2, 4, 5);
+  model.init(rng);
+  for (std::int32_t bad : {-1, 6}) {
+    data::ClientData client = small_token_client(rng, 3, 5, 6);
+    client.tokens[1 * 5 + 1] = bad;  // a context slot of sequence 1
+    EXPECT_THROW(model.errors(client), std::invalid_argument) << bad;
+  }
+  // A final token is only ever a label: out of range, it counts as an error.
+  data::ClientData client = small_token_client(rng, 3, 5, 6);
+  client.tokens[5 - 1] = 6;
+  client.tokens[2 * 5 + 4] = -1;
+  EXPECT_EQ(model.errors(client), reference_errors(model, 6, 2, 4, 5, client));
+}
+
+TEST(TextMlp, ModelAboveTableBoundMatchesReference) {
+  Rng rng(16);
+  // 300^2 = 90,000 windows exceeds the table bound: chunked forward.
+  TextMlp model(300, 2, 4, 5);
+  model.init(rng);
+  const data::ClientData client = small_token_client(rng, 600, 5, 300);
+  EXPECT_EQ(model.errors(client),
+            reference_errors(model, 300, 2, 4, 5, client));
 }
 
 TEST(TextMlp, RejectsTooShortSequences) {

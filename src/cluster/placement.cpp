@@ -8,15 +8,6 @@
 
 namespace fedtune::cluster {
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 namespace {
 
 // FNV-1a's output on short keys ("a#12", study names) is far from uniform

@@ -37,12 +37,9 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/fnv1a.hpp"
 
 namespace fedtune::cluster {
-
-// FNV-1a 64-bit — the ring's hash. Stable across platforms and builds (no
-// std::hash, whose value is implementation-defined).
-std::uint64_t fnv1a64(std::string_view bytes);
 
 struct ClusterMember {
   std::string id;

@@ -12,15 +12,15 @@
 namespace fedtune::core {
 
 namespace {
-constexpr std::uint64_t kPoolMagic = 0xfed7d2ae00000003ULL;
-// v2: derived-view caches regenerated after the iid repartition seed moved
-// from truncated p*1000 to p's full bit pattern (same filename, different
-// stream — the magic bump is what invalidates stale caches).
-constexpr std::uint64_t kViewMagic = 0xfed7a11e00000002ULL;
-// Shard files: range header (lo, hi, total) + monolithic payload. Bump the
-// low word on any layout change so stale shard caches are rejected, not
-// misread.
-constexpr std::uint64_t kShardMagic = 0xfed75a2d00000001ULL;
+// Bump the low word of a magic whenever the file's layout OR the bits of
+// what it stores change (a pool cached by an older build must be rebuilt,
+// not served). v4 pools, v3 views and v2 shards: training runs on the
+// libm-free tanh/exp kernels (tensor/ops.hpp), and views re-evaluate stored
+// params through that tanh.
+constexpr std::uint64_t kPoolMagic = 0xfed7d2ae00000004ULL;
+constexpr std::uint64_t kViewMagic = 0xfed7a11e00000003ULL;
+// Shard files: range header (lo, hi, total) + monolithic payload.
+constexpr std::uint64_t kShardMagic = 0xfed75a2d00000002ULL;
 }
 
 // ------------------------------------------------------------ PoolEvalView --

@@ -39,8 +39,8 @@ EvalCache::EvalCache(Env& env, std::string path, RecordLog log,
       log_(std::move(log)),
       sync_on_commit_(sync_on_commit) {
   // Cache-wide series, labeled by the file's stem (the pool name in the
-  // StudyManager layout <dir>/<pool>.evalcache) — one cache per pool, so
-  // the label set is bounded by the registered pools.
+  // StudyManager layout <dir>/<pool>-<digest>.evalcache) — one cache per
+  // registered pool content, so the label set is bounded by the pools.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   const obs::LabelSet labels = {
       {"cache", std::filesystem::path(path_).stem().string()}};

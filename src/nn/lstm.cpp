@@ -74,18 +74,15 @@ void Lstm::forward(const std::vector<Matrix>& x_seq, Cache& cache) const {
       float* hr = cache.h[t].data() + r * H;
       const float* cprev =
           (t > 0) ? cache.c[t - 1].data() + r * H : nullptr;
+#pragma omp simd
       for (std::size_t j = 0; j < H; ++j) {
-        const float zi = zr[j];
-        const float zf = zr[H + j];
-        const float zg = zr[2 * H + j];
-        const float zo = zr[3 * H + j];
-        ir[j] = 1.0f / (1.0f + std::exp(-zi));
-        fr[j] = 1.0f / (1.0f + std::exp(-zf));
-        gr[j] = std::tanh(zg);
-        orow[j] = 1.0f / (1.0f + std::exp(-zo));
+        ir[j] = ops::sigmoid(zr[j]);
+        fr[j] = ops::sigmoid(zr[H + j]);
+        gr[j] = ops::tanh(zr[2 * H + j]);
+        orow[j] = ops::sigmoid(zr[3 * H + j]);
         const float cp = cprev ? cprev[j] : 0.0f;
         cr[j] = fr[j] * cp + ir[j] * gr[j];
-        tcr[j] = std::tanh(cr[j]);
+        tcr[j] = ops::tanh(cr[j]);
         hr[j] = orow[j] * tcr[j];
       }
     }

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <iostream>
 #include <string_view>
 
 #include "common/check.hpp"
+#include "common/fnv1a.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -43,6 +45,31 @@ obs::Histogram& wait_seconds() {
   return h;
 }
 
+// 16 hex digits of FNV-1a-64 over everything a cached outcome derives from:
+// the view's checkpoints, client weights and error tensor, and the config
+// fingerprints. A pool rebuilt with different bits gets a different cache
+// file, so its predecessor's outcomes are never served beside its own.
+std::string pool_digest(const PoolResources& pool) {
+  const core::PoolEvalView& v = pool.view;
+  std::uint64_t h = fnv1a64(v.checkpoints().data(),
+                            v.checkpoints().size() * sizeof(std::size_t));
+  h = fnv1a64(v.client_weights().data(),
+              v.client_weights().size() * sizeof(double), h);
+  for (std::size_t c = 0; c < v.num_configs(); ++c) {
+    for (std::size_t ck = 0; ck < v.checkpoints().size(); ++ck) {
+      const auto e = v.errors(c, ck);
+      h = fnv1a64(e.data(), e.size_bytes(), h);
+    }
+  }
+  for (const hpo::Config& config : pool.configs) {
+    h = fnv1a64(hpo::config_fingerprint(config), h);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
 double monotonic_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -61,19 +88,25 @@ void StudyManager::register_pool(const std::string& name,
                                  std::shared_ptr<const PoolResources> pool) {
   FEDTUNE_CHECK(pool != nullptr);
   FEDTUNE_CHECK(pool->configs.size() == pool->view.num_configs());
+  if (opts_.eval_cache_dir.empty()) {
+    pools_[name] = std::move(pool);
+    return;
+  }
+  // One shared cache per pool content, all tenants. A cache that cannot
+  // open must not take the pool down — studies just run uncached.
+  const std::string cache_path = opts_.eval_cache_dir + "/" + name + "-" +
+                                 pool_digest(*pool) + ".evalcache";
   pools_[name] = std::move(pool);
-  if (!opts_.eval_cache_dir.empty() && caches_.find(name) == caches_.end()) {
-    // One shared cache per pool, all tenants. A cache that cannot open must
-    // not take the pool down — studies just run uncached.
-    Env& e = env_or_real(opts_.env);
-    try {
-      e.create_directories(opts_.eval_cache_dir);
-      caches_[name] = core::EvalCache::open(
-          opts_.eval_cache_dir + "/" + name + ".evalcache", opts_.env);
-    } catch (const std::exception& ex) {
-      std::cerr << "[study-manager] eval cache for pool '" << name
-                << "' unavailable: " << ex.what() << "\n";
-    }
+  const auto open = caches_.find(name);
+  if (open != caches_.end() && open->second->path() == cache_path) return;
+  caches_.erase(name);
+  Env& e = env_or_real(opts_.env);
+  try {
+    e.create_directories(opts_.eval_cache_dir);
+    caches_[name] = core::EvalCache::open(cache_path, opts_.env);
+  } catch (const std::exception& ex) {
+    std::cerr << "[study-manager] eval cache for pool '" << name
+              << "' unavailable: " << ex.what() << "\n";
   }
 }
 

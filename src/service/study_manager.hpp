@@ -47,10 +47,14 @@ struct ManagerOptions {
   bool sync_on_commit = false;
   RetryPolicy retry;
   // Shared cross-tenant evaluation caches (core/eval_cache.hpp): when
-  // non-empty, register_pool() opens <eval_cache_dir>/<pool>.evalcache and
-  // every cache-opted study on that pool shares it — admission IS the warm
-  // start (a new tenant's first lookups hit outcomes its predecessors paid
-  // for). Empty disables caching service-wide.
+  // non-empty, register_pool() opens
+  // <eval_cache_dir>/<pool>-<digest>.evalcache and every cache-opted study
+  // on that pool shares it — admission IS the warm start (a new tenant's
+  // first lookups hit outcomes its predecessors paid for). <digest> is 16
+  // hex digits of FNV-1a-64 over the pool's content (view checkpoints,
+  // client weights, error tensor, config fingerprints), so a pool rebuilt
+  // with different bits under the same name starts a cold cache instead of
+  // serving its predecessor's outcomes. Empty disables caching service-wide.
   std::string eval_cache_dir;
   // Replication feed handed to every session (study.hpp SessionOptions):
   // the daemon binds this to its JournalReplicator so each durable journal

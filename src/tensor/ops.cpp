@@ -472,7 +472,11 @@ void relu_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
 
 void tanh_forward(const Matrix& x, Matrix& y) {
   y.ensure_shape(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.size(); ++i) y.flat()[i] = std::tanh(x.flat()[i]);
+  const float* __restrict in = x.data();
+  float* __restrict out = y.data();
+  const std::size_t n = x.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) out[i] = tanh(in[i]);
 }
 
 void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
@@ -488,9 +492,11 @@ void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
 
 void sigmoid(const Matrix& x, Matrix& y) {
   y.ensure_shape(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y.flat()[i] = 1.0f / (1.0f + std::exp(-x.flat()[i]));
-  }
+  const float* __restrict in = x.data();
+  float* __restrict out = y.data();
+  const std::size_t n = x.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) out[i] = sigmoid(in[i]);
 }
 
 void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
@@ -504,20 +510,36 @@ void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) 
   for (std::size_t i = 0; i < n; ++i) gi[i] = go[i] * yp[i] * (1.0f - yp[i]);
 }
 
+namespace {
+
+float row_max(const float* in, std::size_t n) {
+  float mx = -std::numeric_limits<float>::infinity();
+#pragma omp simd reduction(max : mx)
+  for (std::size_t c = 0; c < n; ++c) mx = std::max(mx, in[c]);
+  return mx;
+}
+
+// out[c] = exp(in[c] - mx) for one row of n (out may be in); returns the
+// row's sum.
+float exp_shifted_row(const float* in, float mx, float* out, std::size_t n) {
+  float total = 0.0f;
+#pragma omp simd reduction(+ : total)
+  for (std::size_t c = 0; c < n; ++c) {
+    out[c] = exp(in[c] - mx);
+    total += out[c];
+  }
+  return total;
+}
+
+}  // namespace
+
 void softmax_rows(const Matrix& logits, Matrix& probs) {
   probs.ensure_shape(logits.rows(), logits.cols());
   const std::size_t n = logits.cols();
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* in = logits.data() + r * n;
     float* out = probs.data() + r * n;
-    float mx = -std::numeric_limits<float>::infinity();
-    for (std::size_t c = 0; c < n; ++c) mx = std::max(mx, in[c]);
-    float total = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) {
-      out[c] = std::exp(in[c] - mx);
-      total += out[c];
-    }
-    const float inv = 1.0f / total;
+    const float inv = 1.0f / exp_shifted_row(in, row_max(in, n), out, n);
 #pragma omp simd
     for (std::size_t c = 0; c < n; ++c) out[c] *= inv;
   }
@@ -527,19 +549,27 @@ double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::int32_t> labels,
                              Matrix& grad_logits) {
   FEDTUNE_CHECK(logits.rows() == labels.size());
-  softmax_rows(logits, grad_logits);  // grad starts as probs
   const std::size_t batch = logits.rows();
   const std::size_t n = logits.cols();
+  grad_logits.ensure_shape(batch, n);
   const float inv_batch = 1.0f / static_cast<float>(batch);
   double loss = 0.0;
   for (std::size_t r = 0; r < batch; ++r) {
     const auto label = static_cast<std::size_t>(labels[r]);
     FEDTUNE_CHECK(label < n);
-    float* __restrict grow = grad_logits.data() + r * n;
-    loss -= std::log(std::max(grow[label], 1e-12f));
-    grow[label] -= 1.0f;
+    const float* in = logits.data() + r * n;
+    float* grow = grad_logits.data() + r * n;
+    const float mx = row_max(in, n);
+    const float x_label = in[label];
+    const float total = exp_shifted_row(in, mx, grow, n);
+    // -log p[label] in log-sum-exp form, so it needs no floor when
+    // p[label] underflows.
+    loss += std::log(static_cast<double>(total)) -
+            (static_cast<double>(x_label) - static_cast<double>(mx));
+    const float scale = inv_batch / total;
 #pragma omp simd
-    for (std::size_t c = 0; c < n; ++c) grow[c] *= inv_batch;
+    for (std::size_t c = 0; c < n; ++c) grow[c] *= scale;
+    grow[label] -= inv_batch;
   }
   return loss / static_cast<double>(batch);
 }

@@ -124,7 +124,33 @@ std::string slurp(const std::string& path) {
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
 }
+
+// Overwrites the leading u64 magic of a saved file in place.
+void rewrite_magic(const std::string& path, std::uint64_t magic) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+}
 }  // namespace
+
+// Pools and views cached by the build before the libm-free tanh/exp kernels
+// hold different bits: they must load as nullopt so the caller rebuilds.
+TEST_F(PoolFixture, LoadRejectsPreviousPoolMagic) {
+  const std::string path = "/tmp/fedtune_old_magic_pool.bin";
+  pool->save(path);
+  ASSERT_TRUE(ConfigPool::load(path).has_value());
+  rewrite_magic(path, 0xfed7d2ae00000003ULL);
+  EXPECT_FALSE(ConfigPool::load(path).has_value());
+  std::filesystem::remove(path);
+}
+
+TEST_F(PoolFixture, ViewLoadRejectsPreviousViewMagic) {
+  const std::string path = "/tmp/fedtune_old_magic_view.bin";
+  pool->view().save(path);
+  ASSERT_TRUE(PoolEvalView::load(path).has_value());
+  rewrite_magic(path, 0xfed7a11e00000002ULL);
+  EXPECT_FALSE(PoolEvalView::load(path).has_value());
+  std::filesystem::remove(path);
+}
 
 TEST_F(PoolFixture, LoadTruncatedFileReturnsNullopt) {
   const std::string path = "/tmp/fedtune_truncated_pool.bin";

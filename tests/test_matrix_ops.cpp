@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
+#include "common/rng.hpp"
 #include "tensor/matrix.hpp"
 
 namespace fedtune {
@@ -182,6 +187,152 @@ TEST(Ops, TanhSigmoidBackwardViaFiniteDifference) {
     const double numeric_s = (yp(0, 0) - ym(0, 0)) / (2 * h);
     ops::sigmoid_backward(y, g, gx);
     EXPECT_NEAR(gx(0, 0), numeric_s, 1e-3);
+  }
+}
+
+// Spacing of floats at |v|: the unit of the exp error bound.
+double float_ulp(double v) {
+  const float f = static_cast<float>(std::fabs(v));
+  return static_cast<double>(
+      std::nextafter(f, std::numeric_limits<float>::infinity()) - f);
+}
+
+TEST(Ops, TanhWithinAbsErrorBoundOfDoublePrecision) {
+  double worst = 0.0;
+  for (int i = -2'000'000; i <= 2'000'000; ++i) {
+    const float x = static_cast<float>(i) * 1e-5f;
+    worst = std::max(worst, std::fabs(static_cast<double>(ops::tanh(x)) -
+                                      std::tanh(static_cast<double>(x))));
+  }
+  // The small-argument branch and its boundary at |x| = 4e-4.
+  for (float x = 1e-30f; x < 1e-2f; x *= 1.001f) {
+    for (const float v : {x, -x}) {
+      worst = std::max(worst, std::fabs(static_cast<double>(ops::tanh(v)) -
+                                        std::tanh(static_cast<double>(v))));
+    }
+  }
+  EXPECT_LE(worst, 5e-7);
+}
+
+TEST(Ops, ExpWithinTwoUlpOfDoublePrecision) {
+  double worst_ulps = 0.0;
+  for (int i = -870'000; i <= 880'000; ++i) {
+    const float x = static_cast<float>(i) * 1e-4f;
+    const double ref = std::exp(static_cast<double>(x));
+    worst_ulps = std::max(worst_ulps,
+                          std::fabs(static_cast<double>(ops::exp(x)) - ref) /
+                              float_ulp(ref));
+  }
+  EXPECT_LE(worst_ulps, 2.0);
+}
+
+// Hides a value from constant folding, so the checks below exercise the
+// run-time code rather than the compiler's evaluation of it.
+float at_run_time(float v) {
+  volatile float x = v;
+  return x;
+}
+
+TEST(Ops, ActivationSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto tanh = [](float v) { return ops::tanh(at_run_time(v)); };
+  const auto exp = [](float v) { return ops::exp(at_run_time(v)); };
+  const auto sigmoid = [](float v) { return ops::sigmoid(at_run_time(v)); };
+  // NaN stays NaN, so a diverged config stays diverged.
+  EXPECT_TRUE(std::isnan(tanh(nan)));
+  EXPECT_TRUE(std::isnan(exp(nan)));
+  EXPECT_TRUE(std::isnan(sigmoid(nan)));
+  EXPECT_EQ(tanh(inf), 1.0f);
+  EXPECT_EQ(tanh(-inf), -1.0f);
+  EXPECT_EQ(tanh(1e30f), 1.0f);
+  EXPECT_EQ(tanh(-1e30f), -1.0f);
+  EXPECT_EQ(tanh(0.0f), 0.0f);
+  EXPECT_FALSE(std::signbit(tanh(0.0f)));
+  EXPECT_TRUE(std::signbit(tanh(-0.0f)));
+  EXPECT_EQ(exp(-inf), 0.0f);
+  EXPECT_EQ(exp(-200.0f), 0.0f);
+  EXPECT_EQ(exp(-1e30f), 0.0f);
+  EXPECT_EQ(exp(0.0f), 1.0f);
+  EXPECT_EQ(exp(inf), inf);
+  EXPECT_EQ(exp(100.0f), inf);
+  // Subnormal results underflow gradually, not straight to 0.
+  EXPECT_GT(exp(-100.0f), 0.0f);
+  EXPECT_NEAR(exp(-100.0f), std::exp(-100.0), 2e-45);
+  EXPECT_EQ(sigmoid(inf), 1.0f);
+  EXPECT_EQ(sigmoid(-inf), 0.0f);
+
+  // The Matrix kernels give the same special values.
+  const Matrix x = make(1, 5, {nan, inf, -inf, -0.0f, 1.0f});
+  Matrix y;
+  ops::tanh_forward(x, y);
+  EXPECT_TRUE(std::isnan(y(0, 0)));
+  EXPECT_EQ(y(0, 1), 1.0f);
+  EXPECT_EQ(y(0, 2), -1.0f);
+  EXPECT_TRUE(std::signbit(y(0, 3)));
+  ops::sigmoid(x, y);
+  EXPECT_TRUE(std::isnan(y(0, 0)));
+  EXPECT_EQ(y(0, 1), 1.0f);
+  EXPECT_EQ(y(0, 2), 0.0f);
+  const std::vector<std::int32_t> label = {4};
+  Matrix grad;
+  EXPECT_TRUE(std::isnan(ops::softmax_cross_entropy(x, label, grad)));
+}
+
+// tanh_forward's vector body and scalar remainder must agree bitwise: every
+// element of an N-element call equals a 1x1 call on that element. TextMlp's
+// argmax table relies on tanh being purely per-element.
+TEST(Ops, TanhForwardIsPositionInvariant) {
+  Rng rng(41);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            7.90531110763549805f, -0.0f, 3e-4f, 12.0f};
+  for (std::size_t n = 1; n <= 67; ++n) {
+    Matrix x = Matrix::randn(1, n, rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      x.flat()[i] = i % 5 == 0 ? specials[(i / 5 + n) % std::size(specials)]
+                               : x.flat()[i] * (i % 3 == 0 ? 9.0f : 2.0f);
+    }
+    Matrix y;
+    ops::tanh_forward(x, y);
+    for (std::size_t i = 0; i < n; ++i) {
+      Matrix one;
+      ops::tanh_forward(make(1, 1, {x.flat()[i]}), one);
+      EXPECT_EQ(std::memcmp(&y.flat()[i], &one.flat()[0], sizeof(float)), 0)
+          << "n=" << n << " i=" << i << " x=" << x.flat()[i];
+    }
+  }
+}
+
+TEST(Ops, FusedCrossEntropyMatchesDoubleReference) {
+  Rng rng(29);
+  constexpr std::size_t kBatch = 9;
+  for (const std::size_t n : {10u, 16u, 24u, 32u}) {
+    Matrix logits = Matrix::randn(kBatch, n, rng);
+    for (float& v : logits.flat()) v *= 3.0f;
+    std::vector<std::int32_t> labels(kBatch);
+    for (std::size_t r = 0; r < kBatch; ++r) {
+      labels[r] = static_cast<std::int32_t>((r * 7 + n) % n);
+    }
+    Matrix grad;
+    const double loss = ops::softmax_cross_entropy(logits, labels, grad);
+
+    double ref_loss = 0.0;
+    for (std::size_t r = 0; r < kBatch; ++r) {
+      double mx = -1e300;
+      for (std::size_t c = 0; c < n; ++c) mx = std::max(mx, double{logits(r, c)});
+      double total = 0.0;
+      for (std::size_t c = 0; c < n; ++c) total += std::exp(logits(r, c) - mx);
+      const auto label = static_cast<std::size_t>(labels[r]);
+      ref_loss += std::log(total) - (logits(r, label) - mx);
+      for (std::size_t c = 0; c < n; ++c) {
+        const double p = std::exp(logits(r, c) - mx) / total;
+        const double ref = (p - (c == label ? 1.0 : 0.0)) / kBatch;
+        EXPECT_NEAR(grad(r, c), ref, 1e-6) << "n=" << n << " r=" << r;
+      }
+    }
+    EXPECT_NEAR(loss, ref_loss / kBatch, 1e-6) << "n=" << n;
   }
 }
 

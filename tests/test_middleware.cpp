@@ -713,6 +713,52 @@ TEST_F(SharedCacheFixture, WarmTenantIsServedWithoutLiveEvaluations) {
   }
 }
 
+// The cache file is named by the pool's content, not its name alone: a
+// restarted daemon re-registering the same pool is warm, while a pool
+// rebuilt with different bits under the same name starts cold instead of
+// serving its predecessor's objectives beside live ones.
+TEST_F(SharedCacheFixture, CacheFileIsScopedToPoolContent) {
+  const std::string cache_dir = fresh_dir();
+  {
+    StudyManager mgr(cached_options(fresh_dir(), cache_dir));
+    mgr.register_pool("p", pool_);
+    run_study(mgr, managed_spec("prod", StudyMethod::kRandomSearch, 6));
+  }
+  {
+    StudyManager mgr(cached_options(fresh_dir(), cache_dir));
+    mgr.register_pool("p", pool_);
+    mgr.register_pool("p", pool_);  // same content: the open cache stays
+    ASSERT_NE(mgr.eval_cache("p"), nullptr);
+    EXPECT_GE(mgr.eval_cache("p")->entries(), 1u);
+    run_study(mgr, managed_spec("warm", StudyMethod::kRandomSearch, 6));
+    const StudySession* warm = mgr.find("warm");
+    EXPECT_EQ(warm->live_evaluations(), 0u);
+    EXPECT_EQ(warm->cache_hits(), warm->steps());
+  }
+  {
+    auto changed = std::make_shared<PoolResources>(*pool_);
+    float& e = changed->view.errors(0, 0)[0];
+    e = e == 0.5f ? 0.25f : 0.5f;
+    StudyManager mgr(cached_options(fresh_dir(), cache_dir));
+    mgr.register_pool("p", pool_);
+    mgr.register_pool("p", changed);  // new content: the cache is reopened
+    ASSERT_NE(mgr.eval_cache("p"), nullptr);
+    EXPECT_EQ(mgr.eval_cache("p")->entries(), 0u);
+    const core::TuneResult cold =
+        run_study(mgr, managed_spec("cold", StudyMethod::kRandomSearch, 6));
+    const StudySession* c = mgr.find("cold");
+    EXPECT_EQ(c->cache_hits(), self_hits(cold));
+    EXPECT_EQ(c->live_evaluations(), c->steps() - self_hits(cold));
+  }
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
+    EXPECT_EQ(entry.path().extension(), ".evalcache");
+    EXPECT_EQ(entry.path().stem().string().size(), 2u + 16u);  // p-<hex>
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
+}
+
 TEST_F(SharedCacheFixture, NoiseSignatureAndScopeIsolateNamespaces) {
   const std::string cache_dir = fresh_dir();
   StudyManager mgr(cached_options(fresh_dir(), cache_dir));

@@ -168,6 +168,20 @@ TEST_F(ShardFixture, LoadShardRejectsPoolMagicAndViceVersa) {
   std::filesystem::remove(pool_path);
 }
 
+TEST_F(ShardFixture, LoadShardRejectsPreviousShardMagic) {
+  const std::string path = "/tmp/fedtune_old_magic_shard.pool";
+  ConfigPool::build_shard(dataset, *arch, hpo::appendix_b_space(), opts, 0, 3)
+      .save_shard(path);
+  ASSERT_TRUE(ConfigPool::load_shard(path).has_value());
+  {
+    const std::uint64_t previous = 0xfed75a2d00000001ULL;
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.write(reinterpret_cast<const char*>(&previous), sizeof previous);
+  }
+  EXPECT_FALSE(ConfigPool::load_shard(path).has_value());
+  std::filesystem::remove(path);
+}
+
 TEST_F(ShardFixture, LoadShardRejectsCorruptAndTruncatedFiles) {
   const std::string path = "/tmp/fedtune_bad_shard.pool";
   {

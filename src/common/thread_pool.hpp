@@ -2,9 +2,11 @@
 //
 // Used to parallelize embarrassingly-parallel work at every level of the
 // substrate: HP configurations (ConfigPool::build), clients within a
-// federated round (FedTrainer::run_round), and per-client evaluation
-// (fl::client_errors). Work items must not share mutable state; the pool
-// provides no synchronization beyond joining.
+// federated round (FedTrainer::run_round), per-client evaluation
+// (fl::client_errors), and the seeded trial loops of the figure suite
+// (sim::bootstrap_random_search, sim::pool_method_curves and the other
+// sim/experiments_* trial loops). Work items must not share mutable state;
+// the pool provides no synchronization beyond joining.
 //
 // Dispatch model: a parallel loop is one shared batch descriptor plus an
 // atomic chunk counter — participating threads (the caller plus queued

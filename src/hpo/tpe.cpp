@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -12,30 +13,117 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-double gaussian_log_pdf(double x, double mu, double sigma) {
+double gaussian_log_pdf(double x, double mu, double sigma, double log_sigma) {
   const double z = (x - mu) / sigma;
-  return -0.5 * (z * z + kLog2Pi) - std::log(sigma);
+  return -0.5 * (z * z + kLog2Pi) - log_sigma;
 }
 
-// Silverman's rule over the group's values in one dim, floored.
-double bandwidth(const std::vector<const std::vector<double>*>& group,
-                 std::size_t dim, double floor_bw) {
-  if (group.size() < 2) return std::max(floor_bw, 0.25);
+// Silverman's rule over one dim's values, floored.
+double bandwidth(const std::vector<double>& values, double floor_bw) {
+  if (values.size() < 2) return std::max(floor_bw, 0.25);
   double mean = 0.0;
-  for (const auto* x : group) mean += (*x)[dim];
-  mean /= static_cast<double>(group.size());
+  for (const double v : values) mean += v;
+  mean /= static_cast<double>(values.size());
   double var = 0.0;
-  for (const auto* x : group) {
-    var += ((*x)[dim] - mean) * ((*x)[dim] - mean);
-  }
-  var /= static_cast<double>(group.size());
+  for (const double v : values) var += (v - mean) * (v - mean);
+  var /= static_cast<double>(values.size());
   const double sd = std::sqrt(var);
   const double bw =
-      1.06 * sd * std::pow(static_cast<double>(group.size()), -0.2);
+      1.06 * sd * std::pow(static_cast<double>(values.size()), -0.2);
   return std::max(bw, floor_bw);
 }
 
+std::size_t category(double encoded, std::size_t n_cat) {
+  return static_cast<std::size_t>(std::clamp<double>(
+      std::round(encoded), 0.0, static_cast<double>(n_cat - 1)));
+}
+
+// One dim of a group's Parzen density. A continuous dim keeps the group's
+// values (kernel centres, in group order), the bandwidth and its log; a
+// choice dim keeps the smoothed category counts and their log-probabilities.
+struct DimDensity {
+  bool choice = false;
+  std::vector<double> values;
+  double bw = 0.0, log_bw = 0.0;
+  std::vector<double> counts, log_prob;
+};
+
+struct Density {
+  std::size_t size = 0;  // observations in the group
+  std::vector<DimDensity> dims;
+};
+
+Density make_density(const SearchSpace& space, const TpeOptions& opts,
+                     const std::vector<const std::vector<double>*>& group) {
+  Density density;
+  density.size = group.size();
+  density.dims.resize(space.num_dims());
+  for (std::size_t d = 0; d < density.dims.size(); ++d) {
+    const ParamSpec& spec = space.dim_spec(d);
+    DimDensity& dim = density.dims[d];
+    if (spec.kind == ParamSpec::Kind::kChoice) {
+      // Smoothed categorical frequency.
+      dim.choice = true;
+      const std::size_t n_cat = spec.choices.size();
+      dim.counts.assign(n_cat, opts.prior_weight / static_cast<double>(n_cat));
+      double total_count = opts.prior_weight;
+      for (const auto* x : group) {
+        dim.counts[category((*x)[d], n_cat)] += 1.0;
+        total_count += 1.0;
+      }
+      for (const double c : dim.counts) {
+        dim.log_prob.push_back(std::log(c / total_count));
+      }
+    } else {
+      for (const auto* x : group) dim.values.push_back((*x)[d]);
+      dim.bw = bandwidth(dim.values, opts.bandwidth_floor);
+      dim.log_bw = std::log(dim.bw);
+    }
+  }
+  return density;
+}
+
+// Per-dim log-density of `encoded`. `lp` is scratch holding one dim's
+// kernel log-pdfs, read by both the max pass and the sum pass.
+double log_density(const std::vector<double>& encoded, const Density& density,
+                   std::vector<double>& lp) {
+  FEDTUNE_CHECK(encoded.size() == density.dims.size());
+  double total = 0.0;
+  for (std::size_t d = 0; d < density.dims.size(); ++d) {
+    const DimDensity& dim = density.dims[d];
+    if (dim.choice) {
+      total += dim.log_prob[category(encoded[d], dim.log_prob.size())];
+      continue;
+    }
+    // Parzen mixture of Gaussians (untruncated; the shared support of l
+    // and g makes the normalization cancel in the EI ratio), combined by
+    // log-sum-exp over kernels (max + correction).
+    const std::size_t n = dim.values.size();
+    lp.resize(n);
+    double acc = -std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < n; ++j) {
+      lp[j] = gaussian_log_pdf(encoded[d], dim.values[j], dim.bw, dim.log_bw);
+      acc = std::max(acc, lp[j]);
+    }
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) sum += std::exp(lp[j] - acc);
+    total += acc + std::log(sum / static_cast<double>(n));
+  }
+  return total;
+}
+
 }  // namespace
+
+struct TpeDensityModel::Prepared {
+  Density good, bad;
+
+  // log l(x) - log g(x).
+  double acquisition(const std::vector<double>& encoded,
+                     std::vector<double>& scratch) const {
+    return log_density(encoded, good, scratch) -
+           log_density(encoded, bad, scratch);
+  }
+};
 
 TpeDensityModel::TpeDensityModel(const SearchSpace& space, TpeOptions opts)
     : space_(&space), opts_(opts) {
@@ -53,7 +141,7 @@ void TpeDensityModel::clear() {
   ys_.clear();
 }
 
-TpeDensityModel::Groups TpeDensityModel::split() const {
+TpeDensityModel::Prepared TpeDensityModel::prepare() const {
   FEDTUNE_CHECK(ready());
   const std::size_t n = ys_.size();
   const auto n_good = std::max<std::size_t>(
@@ -62,85 +150,34 @@ TpeDensityModel::Groups TpeDensityModel::split() const {
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return ys_[a] < ys_[b]; });
-  Groups g;
+  std::vector<const std::vector<double>*> good, bad;
   for (std::size_t i = 0; i < n; ++i) {
-    (i < n_good ? g.good : g.bad).push_back(&xs_[order[i]]);
+    (i < n_good ? good : bad).push_back(&xs_[order[i]]);
   }
-  if (g.bad.empty()) {  // degenerate tiny history: reuse good as bad
-    g.bad = g.good;
+  if (bad.empty()) {  // degenerate tiny history: reuse good as bad
+    bad = good;
   }
-  return g;
-}
-
-double TpeDensityModel::log_density(
-    const std::vector<double>& encoded,
-    const std::vector<const std::vector<double>*>& group) const {
-  const std::size_t dims = space_->num_dims();
-  FEDTUNE_CHECK(encoded.size() == dims);
-  double total = 0.0;
-  for (std::size_t d = 0; d < dims; ++d) {
-    const ParamSpec& spec = space_->dim_spec(d);
-    if (spec.kind == ParamSpec::Kind::kChoice) {
-      // Smoothed categorical frequency.
-      const std::size_t n_cat = spec.choices.size();
-      std::vector<double> counts(n_cat, opts_.prior_weight / static_cast<double>(n_cat));
-      double total_count = opts_.prior_weight;
-      for (const auto* x : group) {
-        const auto c = static_cast<std::size_t>(std::clamp<double>(
-            std::round((*x)[d]), 0.0, static_cast<double>(n_cat - 1)));
-        counts[c] += 1.0;
-        total_count += 1.0;
-      }
-      const auto c = static_cast<std::size_t>(std::clamp<double>(
-          std::round(encoded[d]), 0.0, static_cast<double>(n_cat - 1)));
-      total += std::log(counts[c] / total_count);
-    } else {
-      // Parzen mixture of Gaussians (untruncated; the shared support of l
-      // and g makes the normalization cancel in the EI ratio).
-      const double bw = bandwidth(group, d, opts_.bandwidth_floor);
-      double acc = -std::numeric_limits<double>::infinity();
-      for (const auto* x : group) {
-        acc = std::max(acc, gaussian_log_pdf(encoded[d], (*x)[d], bw));
-      }
-      // log-sum-exp over kernels (max + correction).
-      double sum = 0.0;
-      for (const auto* x : group) {
-        sum += std::exp(gaussian_log_pdf(encoded[d], (*x)[d], bw) - acc);
-      }
-      total += acc + std::log(sum / static_cast<double>(group.size()));
-    }
-  }
-  return total;
+  return {make_density(*space_, opts_, good), make_density(*space_, opts_, bad)};
 }
 
 double TpeDensityModel::acquisition(const std::vector<double>& encoded) const {
-  const Groups groups = split();
-  return log_density(encoded, groups.good) - log_density(encoded, groups.bad);
+  std::vector<double> scratch;
+  return prepare().acquisition(encoded, scratch);
 }
 
-std::vector<double> TpeDensityModel::sample_from_good(Rng& rng) const {
-  const Groups groups = split();
-  const std::size_t dims = space_->num_dims();
-  const auto& anchor =
-      *groups.good[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(groups.good.size()) - 1))];
-  std::vector<double> out(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    const ParamSpec& spec = space_->dim_spec(d);
-    if (spec.kind == ParamSpec::Kind::kChoice) {
+std::vector<double> TpeDensityModel::sample_from_good(const Prepared& prepared,
+                                                      Rng& rng) const {
+  const Density& good = prepared.good;
+  const auto anchor = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(good.size) - 1));
+  std::vector<double> out(good.dims.size());
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    const DimDensity& dim = good.dims[d];
+    if (dim.choice) {
       // Sample a category from the smoothed good histogram.
-      const std::size_t n_cat = spec.choices.size();
-      std::vector<double> counts(n_cat,
-                                 opts_.prior_weight / static_cast<double>(n_cat));
-      for (const auto* x : groups.good) {
-        const auto c = static_cast<std::size_t>(std::clamp<double>(
-            std::round((*x)[d]), 0.0, static_cast<double>(n_cat - 1)));
-        counts[c] += 1.0;
-      }
-      out[d] = static_cast<double>(rng.categorical(counts));
+      out[d] = static_cast<double>(rng.categorical(dim.counts));
     } else {
-      const double bw = bandwidth(groups.good, d, opts_.bandwidth_floor);
-      out[d] = std::clamp(anchor[d] + rng.normal(0.0, bw), 0.0, 1.0);
+      out[d] = std::clamp(dim.values[anchor] + rng.normal(0.0, dim.bw), 0.0, 1.0);
     }
   }
   return out;
@@ -151,11 +188,13 @@ Config TpeDensityModel::propose(Rng& rng, const std::vector<Config>* pool) const
   if (pool != nullptr) {
     return (*pool)[propose_pool_index(rng, *pool)];
   }
+  const Prepared prepared = prepare();
+  std::vector<double> scratch;
   std::vector<double> best;
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < opts_.n_candidates; ++c) {
-    std::vector<double> cand = sample_from_good(rng);
-    const double score = acquisition(cand);
+    std::vector<double> cand = sample_from_good(prepared, rng);
+    const double score = prepared.acquisition(cand, scratch);
     if (score > best_score) {
       best_score = score;
       best = std::move(cand);
@@ -177,10 +216,12 @@ std::size_t TpeDensityModel::propose_pool_index(
     candidates = rng.sample_without_replacement(pool.size(),
                                                 4 * opts_.n_candidates);
   }
+  const Prepared prepared = prepare();
+  std::vector<double> scratch;
   std::size_t best = candidates.front();
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t i : candidates) {
-    const double score = acquisition(space_->encode(pool[i]));
+    const double score = prepared.acquisition(space_->encode(pool[i]), scratch);
     if (score > best_score) {
       best_score = score;
       best = i;

@@ -49,14 +49,12 @@ class TpeDensityModel {
   double acquisition(const std::vector<double>& encoded) const;
 
  private:
-  struct Groups {
-    std::vector<const std::vector<double>*> good, bad;
-  };
-  Groups split() const;
-  // Per-dim log-density of `encoded` under a Parzen mixture over `group`.
-  double log_density(const std::vector<double>& encoded,
-                     const std::vector<const std::vector<double>*>& group) const;
-  std::vector<double> sample_from_good(Rng& rng) const;
+  // l(x) and g(x) of the current history, with everything that does not
+  // depend on the scored point (the split, bandwidths, category counts)
+  // computed once per proposal. Defined in tpe.cpp.
+  struct Prepared;
+  Prepared prepare() const;
+  std::vector<double> sample_from_good(const Prepared& prepared, Rng& rng) const;
 
   const SearchSpace* space_;
   TpeOptions opts_;

@@ -26,9 +26,16 @@ std::vector<std::size_t> sample_weighted(std::span<const double> weights,
   }
   FEDTUNE_CHECK_MSG(keyed.size() >= k,
                     "fewer than k clients have non-zero weight");
-  std::partial_sort(keyed.begin(),
-                    keyed.begin() + static_cast<std::ptrdiff_t>(k),
-                    keyed.end());
+  // The k smallest pairs, ascending. (key, index) pairs are a strict total
+  // order, so this is exactly what partial_sort returns; selecting first and
+  // sorting only the k winners is cheaper, and k = 1 is one min scan.
+  const auto kth = keyed.begin() + static_cast<std::ptrdiff_t>(k);
+  if (k == 1) {
+    std::iter_swap(keyed.begin(), std::min_element(keyed.begin(), keyed.end()));
+  } else {
+    std::nth_element(keyed.begin(), kth, keyed.end());
+    std::sort(keyed.begin(), kth);
+  }
   std::vector<std::size_t> out(k);
   for (std::size_t i = 0; i < k; ++i) out[i] = keyed[i].second;
   return out;

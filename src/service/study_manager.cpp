@@ -70,6 +70,21 @@ std::string pool_digest(const PoolResources& pool) {
   return hex;
 }
 
+// True for `<pool>-<16 hex digits>.evalcache`: the cache file of `pool`
+// under some content.
+bool is_pool_cache_file(std::string_view file, std::string_view pool) {
+  constexpr std::string_view kSuffix = ".evalcache";
+  if (file.size() != pool.size() + 17 + kSuffix.size() ||
+      !file.starts_with(pool) || file[pool.size()] != '-' ||
+      !file.ends_with(kSuffix)) {
+    return false;
+  }
+  const std::string_view hex = file.substr(pool.size() + 1, 16);
+  return std::all_of(hex.begin(), hex.end(), [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+  });
+}
+
 double monotonic_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -94,8 +109,8 @@ void StudyManager::register_pool(const std::string& name,
   }
   // One shared cache per pool content, all tenants. A cache that cannot
   // open must not take the pool down — studies just run uncached.
-  const std::string cache_path = opts_.eval_cache_dir + "/" + name + "-" +
-                                 pool_digest(*pool) + ".evalcache";
+  const std::string file = name + "-" + pool_digest(*pool) + ".evalcache";
+  const std::string cache_path = opts_.eval_cache_dir + "/" + file;
   pools_[name] = std::move(pool);
   const auto open = caches_.find(name);
   if (open != caches_.end() && open->second->path() == cache_path) return;
@@ -107,6 +122,18 @@ void StudyManager::register_pool(const std::string& name,
   } catch (const std::exception& ex) {
     std::cerr << "[study-manager] eval cache for pool '" << name
               << "' unavailable: " << ex.what() << "\n";
+    return;
+  }
+  // The files of this pool's superseded contents can never be served again.
+  try {
+    for (const std::string& other : e.list_dir(opts_.eval_cache_dir)) {
+      if (other != file && is_pool_cache_file(other, name)) {
+        e.remove_file(opts_.eval_cache_dir + "/" + other);
+      }
+    }
+  } catch (const std::exception& ex) {
+    std::cerr << "[study-manager] stale eval caches of pool '" << name
+              << "' not removed: " << ex.what() << "\n";
   }
 }
 

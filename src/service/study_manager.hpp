@@ -54,7 +54,8 @@ struct ManagerOptions {
   // hex digits of FNV-1a-64 over the pool's content (view checkpoints,
   // client weights, error tensor, config fingerprints), so a pool rebuilt
   // with different bits under the same name starts a cold cache instead of
-  // serving its predecessor's outcomes. Empty disables caching service-wide.
+  // serving its predecessor's outcomes; the superseded contents' files of
+  // that pool are then removed. Empty disables caching service-wide.
   std::string eval_cache_dir;
   // Replication feed handed to every session (study.hpp SessionOptions):
   // the daemon binds this to its JournalReplicator so each durable journal

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/proxy.hpp"
 #include "sim/curve_utils.hpp"
 #include "sim/experiments.hpp"
@@ -49,15 +50,12 @@ Table fig8_methods_online(data::BenchmarkId id, std::size_t trials,
           noisy ? noisy_setting(view) : noiseless_setting();
       // Paired trials: the noiseless and noisy runs of trial t share a seed
       // (same configuration draws; only the evaluation noise differs).
-      std::vector<std::vector<core::CurvePoint>> curves(trials);
-      for (std::size_t t = 0; t < trials; ++t) {
-        curves[t] =
-            run_pool_method(method, pool.configs(), view, noise, kRsConfigs,
-                            rng.split(t * 31 +
-                                      static_cast<std::size_t>(method) * 7)
-                                .seed())
-                .incumbent_curve;
-      }
+      const auto curves = pool_method_curves(
+          method, pool.configs(), view, noise, kRsConfigs, trials,
+          [&](std::size_t t) {
+            return rng.split(t * 31 + static_cast<std::size_t>(method) * 7)
+                .seed();
+          });
       const AggregatedCurve agg =
           aggregate_curves(curves, budget_grid(total, 16));
       for (std::size_t g = 0; g < agg.grid.size(); ++g) {
@@ -93,14 +91,16 @@ Table fig_method_bars(double budget_fraction, std::size_t trials,
         const core::NoiseModel noise =
             noisy ? noisy_setting(view) : noiseless_setting();
         // Paired seeds across the noiseless/noisy settings (see Fig. 8).
+        const auto curves = pool_method_curves(
+            method, pool.configs(), view, noise, kRsConfigs, trials,
+            [&](std::size_t t) {
+              return rng.split(t * 53 + static_cast<std::size_t>(method) * 11 +
+                               static_cast<std::size_t>(id) * 101)
+                  .seed();
+            });
         std::vector<double> errors(trials);
         for (std::size_t t = 0; t < trials; ++t) {
-          const core::TuneResult result = run_pool_method(
-              method, pool.configs(), view, noise, kRsConfigs,
-              rng.split(t * 53 + static_cast<std::size_t>(method) * 11 +
-                        static_cast<std::size_t>(id) * 101)
-                  .seed());
-          errors[t] = curve_value_at(result.incumbent_curve, cut);
+          errors[t] = curve_value_at(curves[t], cut);
         }
         const stats::QuartileSummary q = stats::quartiles(errors);
         table.add_row({data::benchmark_name(id), method_name(method),
@@ -123,12 +123,12 @@ Table fig_method_bars(double budget_fraction, std::size_t trials,
     const core::PoolEvalView& proxy_view = hub.view(proxy_id);
     std::vector<double> proxy_errors(trials);
     Rng proxy_rng = rng.split(static_cast<std::size_t>(id) * 997 + 13);
-    for (std::size_t t = 0; t < trials; ++t) {
+    ThreadPool::global().parallel_for(trials, [&](std::size_t t) {
       Rng trial_rng = proxy_rng.split(t);
       proxy_errors[t] =
           core::one_shot_proxy_rs(proxy_view, view, kRsConfigs, trial_rng)
               .client_full_error;
-    }
+    });
     const stats::QuartileSummary q = stats::quartiles(proxy_errors);
     table.add_row({data::benchmark_name(id), "RS(proxy)", "noisy-immune",
                    Table::format(100.0 * q.q25),

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/proxy.hpp"
 #include "sim/curve_utils.hpp"
 #include "sim/experiments.hpp"
@@ -66,13 +67,13 @@ Table fig11_proxy_grid(const BootstrapOptions& opts) {
     for (data::BenchmarkId client : data::all_benchmarks()) {
       const core::PoolEvalView& client_view = hub.view(client);
       std::vector<double> errors(opts.trials);
-      for (std::size_t t = 0; t < opts.trials; ++t) {
+      ThreadPool::global().parallel_for(opts.trials, [&](std::size_t t) {
         Rng trial_rng = rng.split(t * 17 + static_cast<std::size_t>(proxy) * 3 +
                                   static_cast<std::size_t>(client) * 29);
         errors[t] = core::one_shot_proxy_rs(proxy_view, client_view,
                                             opts.rs_configs, trial_rng)
                         .client_full_error;
-      }
+      });
       const stats::QuartileSummary q = stats::quartiles(errors);
       table.add_row({data::benchmark_name(proxy), data::benchmark_name(client),
                      Table::format(100.0 * q.q25),
@@ -105,15 +106,12 @@ Table fig12_proxy_vs_private(data::BenchmarkId id,
     noise.eval_clients = one_pct;
     noise.epsilon = eps;
     noise.weighting = fl::Weighting::kUniform;
-    std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
-      curves[t] = run_pool_method(
-                      Method::kRandomSearch, pool.configs(), view, noise,
-                      opts.rs_configs,
-                      rng.split(t + (std::isinf(eps) ? 0 : static_cast<std::size_t>(eps)) * 131)
-                          .seed())
-                      .incumbent_curve;
-    }
+    const auto curves = pool_method_curves(
+        Method::kRandomSearch, pool.configs(), view, noise, opts.rs_configs,
+        opts.trials, [&](std::size_t t) {
+          return rng.split(t + (std::isinf(eps) ? 0 : static_cast<std::size_t>(eps)) * 131)
+              .seed();
+        });
     const AggregatedCurve agg = aggregate_curves(curves, grid);
     std::string label = std::isinf(eps)
                             ? std::string("rs_eps=inf")
@@ -132,11 +130,11 @@ Table fig12_proxy_vs_private(data::BenchmarkId id,
   for (data::BenchmarkId proxy : data::all_benchmarks()) {
     const core::PoolEvalView& proxy_view = hub.view(proxy);
     std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
+    ThreadPool::global().parallel_for(opts.trials, [&](std::size_t t) {
       Rng trial_rng = rng.split(9000 + t * 13 + static_cast<std::size_t>(proxy));
       curves[t] = core::one_shot_proxy_rs_curve(
           proxy_view, view, opts.rs_configs, rounds_per_config, trial_rng);
-    }
+    });
     const AggregatedCurve agg = aggregate_curves(curves, grid);
     for (std::size_t g = 0; g < agg.grid.size(); ++g) {
       table.add_row({data::benchmark_name(id),

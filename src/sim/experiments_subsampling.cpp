@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/rank_fidelity.hpp"
 #include "hpo/random_search.hpp"
 #include "sim/curve_utils.hpp"
@@ -41,12 +42,12 @@ stats::QuartileSummary bootstrap_random_search(
   FEDTUNE_CHECK(opts.trials > 0);
   Rng rng(opts.seed);
   std::vector<double> best_errors(opts.trials);
-  for (std::size_t t = 0; t < opts.trials; ++t) {
-    const core::TuneResult result =
-        run_pool_method(Method::kRandomSearch, configs, view, noise,
-                        opts.rs_configs, rng.split(t).seed());
-    best_errors[t] = result.best_full_error;
-  }
+  ThreadPool::global().parallel_for(opts.trials, [&](std::size_t t) {
+    best_errors[t] = run_pool_method(Method::kRandomSearch, configs, view,
+                                     noise, opts.rs_configs,
+                                     rng.split(t).seed())
+                         .best_full_error;
+  });
   return stats::quartiles(best_errors);
 }
 
@@ -118,12 +119,9 @@ Table fig5_budget_tradeoff(data::BenchmarkId id, const BootstrapOptions& opts) {
   for (std::size_t s : levels) {
     core::NoiseModel noise;
     noise.eval_clients = s;
-    std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
-      curves[t] = run_pool_method(Method::kRandomSearch, pool.configs(), view,
-                                  noise, opts.rs_configs, rng.split(t).seed())
-                      .incumbent_curve;
-    }
+    const auto curves = pool_method_curves(
+        Method::kRandomSearch, pool.configs(), view, noise, opts.rs_configs,
+        opts.trials, [&](std::size_t t) { return rng.split(t).seed(); });
     const AggregatedCurve agg = aggregate_curves(
         curves, budget_grid(total, opts.rs_configs));
     for (std::size_t g = 0; g < agg.grid.size(); ++g) {
@@ -231,7 +229,7 @@ Table ablation_repeated_evaluation(data::BenchmarkId id,
       // eps / (K * reevals), so averaging fights a losing battle against
       // the growing noise scale — the point of this ablation.
       std::vector<double> best_errors(opts.trials);
-      for (std::size_t t = 0; t < opts.trials; ++t) {
+      ThreadPool::global().parallel_for(opts.trials, [&](std::size_t t) {
         Rng trial_rng = rng.split(t * 100 + reevals +
                                   (eps == kInf ? 0 : 7777));
         core::NoiseModel noise;
@@ -259,7 +257,7 @@ Table ablation_repeated_evaluation(data::BenchmarkId id,
           }
         }
         best_errors[t] = best_full;
-      }
+      });
       const stats::QuartileSummary q = stats::quartiles(best_errors);
       table.add_row({data::benchmark_name(id), eps_label(eps),
                      std::to_string(reevals), Table::format(100.0 * q.q25),

@@ -1,6 +1,7 @@
 #include "sim/method_runner.hpp"
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "hpo/bohb.hpp"
 #include "hpo/hyperband.hpp"
 #include "hpo/random_search.hpp"
@@ -102,6 +103,20 @@ core::TuneResult run_pool_method(Method method,
   opts.dp_style = dp_style_for(method);
   opts.seed = rng.split(2).seed();
   return core::run_tuning(*tuner, runner, opts);
+}
+
+std::vector<std::vector<core::CurvePoint>> pool_method_curves(
+    Method method, const std::vector<hpo::Config>& configs,
+    const core::PoolEvalView& view, const core::NoiseModel& noise,
+    std::size_t rs_configs, std::size_t trials,
+    const std::function<std::uint64_t(std::size_t)>& seed_of) {
+  std::vector<std::vector<core::CurvePoint>> curves(trials);
+  ThreadPool::global().parallel_for(trials, [&](std::size_t t) {
+    curves[t] = run_pool_method(method, configs, view, noise, rs_configs,
+                                seed_of(t))
+                    .incumbent_curve;
+  });
+  return curves;
 }
 
 std::size_t method_total_rounds(Method method, const core::PoolEvalView& view,

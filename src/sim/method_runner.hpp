@@ -3,6 +3,7 @@
 // TuningDriver against a pool view.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/pool_runner.hpp"
@@ -36,6 +37,15 @@ core::TuneResult run_pool_method(Method method,
                                  const core::PoolEvalView& view,
                                  const core::NoiseModel& noise,
                                  std::size_t rs_configs, std::uint64_t seed);
+
+// Incumbent curves of `trials` runs of the method, run t seeded by
+// seed_of(t). The runs go on ThreadPool::global(); curves[t] is run t's, so
+// the result does not depend on the thread count.
+std::vector<std::vector<core::CurvePoint>> pool_method_curves(
+    Method method, const std::vector<hpo::Config>& configs,
+    const core::PoolEvalView& view, const core::NoiseModel& noise,
+    std::size_t rs_configs, std::size_t trials,
+    const std::function<std::uint64_t(std::size_t)>& seed_of);
 
 // Total training rounds the method consumes (for budget grids).
 std::size_t method_total_rounds(Method method, const core::PoolEvalView& view,

@@ -8,10 +8,12 @@
 // namespacing, and kill/resume bitwise identity on cold AND warm caches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <set>
@@ -750,13 +752,55 @@ TEST_F(SharedCacheFixture, CacheFileIsScopedToPoolContent) {
     EXPECT_EQ(c->cache_hits(), self_hits(cold));
     EXPECT_EQ(c->live_evaluations(), c->steps() - self_hits(cold));
   }
+  // The changed registration removed the superseded content's file.
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
     EXPECT_EQ(entry.path().extension(), ".evalcache");
     EXPECT_EQ(entry.path().stem().string().size(), 2u + 16u);  // p-<hex>
     ++files;
   }
-  EXPECT_EQ(files, 2u);
+  EXPECT_EQ(files, 1u);
+}
+
+// A daemon restarted on an old cache dir with a rebuilt pool keeps only the
+// new content's file, and never touches a name that is not exactly
+// `<pool>-<16 hex>.evalcache` of the registered pool.
+TEST_F(SharedCacheFixture, RestartWithRebuiltPoolLeavesOneCacheFile) {
+  const std::string cache_dir = fresh_dir();
+  {
+    StudyManager mgr(cached_options(fresh_dir(), cache_dir));
+    mgr.register_pool("p", pool_);
+    run_study(mgr, managed_spec("prod", StudyMethod::kRandomSearch, 6));
+  }
+  const std::vector<std::string> bystanders = {
+      "q-0123456789abcdef.evalcache",    // another pool
+      "pp-0123456789abcdef.evalcache",   // a pool whose name extends "p"
+      "p-0123456789abcde.evalcache",     // 15 hex digits
+      "p-0123456789ABCDEF.evalcache",    // not the digest's lower-case hex
+      "p-0123456789abcdef.evalcache.bak",
+      "notes.txt"};
+  for (const std::string& name : bystanders) {
+    std::ofstream(cache_dir + "/" + name) << "x";
+  }
+  auto rebuilt = std::make_shared<PoolResources>(*pool_);
+  float& e = rebuilt->view.errors(0, 0)[0];
+  e = e == 0.5f ? 0.25f : 0.5f;
+  StudyManager mgr(cached_options(fresh_dir(), cache_dir));
+  mgr.register_pool("p", rebuilt);
+  ASSERT_NE(mgr.eval_cache("p"), nullptr);
+  EXPECT_EQ(mgr.eval_cache("p")->entries(), 0u);
+
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  std::sort(left.begin(), left.end());
+  std::vector<std::string> expected = bystanders;
+  expected.push_back(std::filesystem::path(mgr.eval_cache("p")->path())
+                         .filename()
+                         .string());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(left, expected);
 }
 
 TEST_F(SharedCacheFixture, NoiseSignatureAndScopeIsolateNamespaces) {

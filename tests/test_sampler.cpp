@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 
 namespace fedtune::sampling {
@@ -55,6 +57,55 @@ TEST(WeightedSampler, FullSampleReturnsEveryNonZeroIndex) {
   const auto s = sample_weighted(w, 3, rng);
   std::set<std::size_t> distinct(s.begin(), s.end());
   EXPECT_EQ(distinct.size(), 3u);
+}
+
+// The exponential race ordered by partial_sort of the k smallest
+// (key, index) pairs: the specification sample_weighted must reproduce
+// index for index.
+std::vector<std::size_t> reference_sample_weighted(
+    const std::vector<double>& weights, std::size_t k, Rng& rng) {
+  std::vector<std::pair<double, std::size_t>> keyed;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] == 0.0) continue;
+    keyed.emplace_back(rng.exponential(1.0) / weights[i], i);
+  }
+  std::partial_sort(keyed.begin(),
+                    keyed.begin() + static_cast<std::ptrdiff_t>(k),
+                    keyed.end());
+  std::vector<std::size_t> out(k);
+  for (std::size_t i = 0; i < k; ++i) out[i] = keyed[i].second;
+  return out;
+}
+
+TEST(WeightedSampler, MatchesPartialSortReferenceExactly) {
+  Rng gen(9);
+  std::vector<std::vector<double>> weight_sets;
+  weight_sets.emplace_back(300, 1.0);  // all equal
+  std::vector<double> mixed(300);
+  for (double& w : mixed) {
+    const double u = gen.uniform();
+    w = u < 0.2 ? 0.0 : u < 0.5 ? 0.25 : u;  // zeros and repeated values
+  }
+  weight_sets.push_back(mixed);
+  // Denormal weights push most keys to +inf: ties broken by index alone.
+  std::vector<double> tiny(300, 1e-310);
+  for (std::size_t i = 0; i < tiny.size(); i += 7) tiny[i] = 0.0;
+  for (std::size_t i = 3; i < tiny.size(); i += 11) tiny[i] = 2.0;
+  weight_sets.push_back(tiny);
+
+  for (const std::vector<double>& w : weight_sets) {
+    const auto n = static_cast<std::size_t>(
+        std::count_if(w.begin(), w.end(), [](double x) { return x > 0.0; }));
+    for (const std::size_t k : {std::size_t{1}, std::size_t{9}, std::size_t{81},
+                                n - 1, n}) {
+      for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        Rng a(seed), b(seed);
+        ASSERT_EQ(sample_weighted(w, k, a), reference_sample_weighted(w, k, b))
+            << "n " << n << " k " << k << " seed " << seed;
+        ASSERT_EQ(a.uniform(), b.uniform());  // same draws consumed
+      }
+    }
+  }
 }
 
 TEST(BiasedSampler, BZeroIsUniformPath) {

@@ -54,11 +54,12 @@ struct RegionGuard {
 bool ThreadPool::in_parallel_region() { return tl_region_depth > 0; }
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
-  if (n_threads == 0) {
-    n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
+  const std::size_t n_workers =
+      n_threads == 0
+          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+          : n_threads - 1;
+  workers_.reserve(n_workers);
+  for (std::size_t i = 0; i < n_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -93,10 +94,10 @@ void ThreadPool::run_batch(
   grain = std::max<std::size_t>(1, grain);
   const std::size_t n_chunks = (n + grain - 1) / grain;
 
-  // Inline execution: nested region, single-chunk batches, or a pool too
-  // small to help. No RegionGuard here — an inlined loop does not occupy
+  // Inline execution: nested region, single-chunk batches, or a pool with
+  // no workers. No RegionGuard here — an inlined loop does not occupy
   // the pool, so parallelism nested below it is still allowed.
-  if (in_parallel_region() || n_chunks == 1 || workers_.size() <= 1) {
+  if (in_parallel_region() || n_chunks == 1 || workers_.empty()) {
     body(0, 0, n);
     return;
   }

@@ -34,7 +34,10 @@ namespace fedtune {
 
 class ThreadPool {
  public:
-  // n_threads == 0 selects hardware_concurrency() (at least 1).
+  // n_threads is a hard cap on the threads that run one parallel loop, the
+  // calling thread included: the pool starts n_threads - 1 workers, and
+  // ThreadPool(1) runs every loop inline. n_threads == 0 selects
+  // hardware_concurrency() workers (at least 1) plus the caller.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 

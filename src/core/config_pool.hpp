@@ -95,8 +95,9 @@ struct PoolBuildOptions {
   bool store_params = true;
   // 0 = auto: shared global pool at the config level, client-level loops
   // fan out only when the config level leaves it idle. Any explicit value
-  // is a hard concurrency cap: a dedicated pool of that many workers runs
-  // the config level and client-level loops stay serial (1 = fully serial).
+  // is a hard concurrency cap: at most that many threads, the calling
+  // thread among them, run the config level, and client-level loops stay
+  // serial (1 = fully serial).
   std::size_t num_threads = 0;
 };
 
@@ -147,6 +148,7 @@ class ConfigPool {
   // architecture) from the stored parameter snapshots — Fig. 4's
   // repartitioned views. `checkpoint_subset` (cumulative rounds) restricts
   // the work to the listed fidelities; empty = all checkpoints.
+  // `num_threads` caps concurrency as PoolBuildOptions::num_threads does.
   PoolEvalView evaluate_on(const nn::Model& architecture,
                            std::span<const data::ClientData> clients,
                            std::vector<std::size_t> checkpoint_subset = {},

@@ -17,10 +17,16 @@ namespace {
 // transposed variants (nt/tn) first pack the transposed operand into a
 // thread-local scratch panel so the hot loop always streams contiguously.
 //
-// The micro-kernel computes a kMr x kNr block of C held entirely in
-// registers: each loaded B vector is reused kMr times, which is what buys
-// the throughput over the naive row-streaming loop (the retained
-// *_naive_raw kernels below).
+// Every block of C is held in registers as Rows x kNr accumulators: each
+// loaded B vector is reused Rows times, which is what buys the throughput
+// over the naive row-streaming loop (the retained *_naive_raw kernels
+// below). Two accumulation modes exist, and each output element always
+// takes the same one (see src/README.md, Row invariance):
+//  - micro_kernel (full 6- and 4-row blocks of full kNr-wide column panels)
+//    sums each k tile from zero, then adds the tile sum to C;
+//  - edge_kernel (the n % kNr column tail and the final 1-3 rows) starts
+//    from C and chains every multiply-add onto it, the same per-element
+//    order as a loop that updates C once per k step.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kMr = 6;    // C rows per register block
@@ -31,29 +37,25 @@ constexpr std::size_t kKc = kGemmRowInvariantMaxK;
 
 // Per-thread packing scratch, reused across calls so steady-state training
 // does no allocation here: tl_pack holds the transposed operand of the
-// nt/tn variants, tl_panels holds the kNr-wide B column panels of the main
-// kernel (see pack_b_panels).
+// nt/tn variants, tl_panels holds the kNr-wide B column panels (see
+// pack_b_panels).
 thread_local std::vector<float> tl_pack;
 thread_local std::vector<float> tl_panels;
 
-// C[Rows, kNr] block at rows i, cols j (of C) += A rows i..i+Rows over
-// k-slice [p0, p1). B is addressed via (ldb, jb): for unpacked row-major B
-// pass jb = j; for a packed panel pass the panel pointer with ldb = kNr,
-// jb = 0 — then every B access is a contiguous stream. Rows is a compile-
-// time constant so the r-loops fully unroll and acc stays in registers;
-// instantiated at kMr (main blocks) and 4 (the >= 4-row remainder).
+// acc[Rows, kNr] += A rows i..i+Rows over k-slice [p0, p1) times the kNr
+// columns at b, row p at b + p * ldb. For unpacked row-major B, b points at
+// the block's first column; for a packed panel, ldb = kNr and every B
+// access is a contiguous stream. Rows is a compile-time constant so the
+// r-loops fully unroll and acc stays in registers.
 template <std::size_t Rows>
-inline void micro_kernel(const float* __restrict a, std::size_t lda,
-                         const float* __restrict b, std::size_t ldb,
-                         std::size_t jb, float* __restrict c, std::size_t ldc,
-                         std::size_t i, std::size_t j, std::size_t p0,
-                         std::size_t p1) {
-  static_assert(Rows >= 1 && Rows <= kMr);
-  float acc[Rows][kNr] = {};
+inline void block_fma(float (&acc)[Rows][kNr], const float* __restrict a,
+                      std::size_t lda, const float* __restrict b,
+                      std::size_t ldb, std::size_t i, std::size_t p0,
+                      std::size_t p1) {
   const float* __restrict arow[Rows];
   for (std::size_t r = 0; r < Rows; ++r) arow[r] = a + (i + r) * lda;
   for (std::size_t p = p0; p < p1; ++p) {
-    const float* __restrict brow = b + p * ldb + jb;
+    const float* __restrict brow = b + p * ldb;
     float av[Rows];
     for (std::size_t r = 0; r < Rows; ++r) av[r] = arow[r][p];
     for (std::size_t r = 0; r < Rows; ++r) {
@@ -61,6 +63,24 @@ inline void micro_kernel(const float* __restrict a, std::size_t lda,
       for (std::size_t t = 0; t < kNr; ++t) acc[r][t] += av[r] * brow[t];
     }
   }
+}
+
+// C[Rows, kNr] block at rows i, cols j += the k-slice [p0, p1) sum,
+// accumulated from zero. Instantiated at kMr (main blocks) and 4 (the
+// >= 4-row remainder). Both kernels stay out of line: inlined into
+// gemm_tiled, they made full-panel shapes such as 64x24x16 ~10% slower
+// (AVX-512 Xeon, GCC 12).
+template <std::size_t Rows>
+[[gnu::noinline]] void micro_kernel(const float* __restrict a,
+                                    std::size_t lda,
+                                    const float* __restrict b,
+                                    std::size_t ldb, float* __restrict c,
+                                    std::size_t ldc, std::size_t i,
+                                    std::size_t j, std::size_t p0,
+                                    std::size_t p1) {
+  static_assert(Rows >= 1 && Rows <= kMr);
+  float acc[Rows][kNr] = {};
+  block_fma<Rows>(acc, a, lda, b, ldb, i, p0, p1);
   for (std::size_t r = 0; r < Rows; ++r) {
     float* __restrict crow = c + (i + r) * ldc + j;
 #pragma omp simd
@@ -68,40 +88,69 @@ inline void micro_kernel(const float* __restrict a, std::size_t lda,
   }
 }
 
-// Repacks the full-width column panels of B (k,n) into panel-major layout:
-// panel q (columns [q*kNr, q*kNr + kNr)) occupies k*kNr contiguous floats,
-// row p at offset q*k*kNr + p*kNr. The micro-kernel then streams B
-// sequentially instead of striding ldb floats per k step (which aliases in
-// L1 for power-of-two n). Tail columns (n % kNr) are left to edge_rows.
-void pack_b_panels(const float* __restrict b, std::size_t ldb, std::size_t k,
-                   std::size_t n_main, float* __restrict dst) {
-  for (std::size_t q = 0; q < n_main / kNr; ++q) {
-    float* __restrict panel = dst + q * k * kNr;
-    const float* __restrict src = b + q * kNr;
-    for (std::size_t p = 0; p < k; ++p) {
+// C[Rows, cols] block at rows i, cols j (cols <= kNr) += the k-slice
+// [p0, p1), chained from C: the accumulators start from the live C values
+// and only those cols are stored back. For cols < kNr, B must be a
+// zero-padded kNr-wide panel so the dead lanes read no memory past B.
+template <std::size_t Rows>
+[[gnu::noinline]] void edge_kernel(const float* __restrict a,
+                                   std::size_t lda,
+                                   const float* __restrict b,
+                                   std::size_t ldb, float* __restrict c,
+                                   std::size_t ldc, std::size_t i,
+                                   std::size_t j, std::size_t cols,
+                                   std::size_t p0, std::size_t p1) {
+  static_assert(Rows >= 1 && Rows <= kMr);
+  float acc[Rows][kNr];
+  for (std::size_t r = 0; r < Rows; ++r) {
+    const float* __restrict crow = c + (i + r) * ldc + j;
 #pragma omp simd
-      for (std::size_t t = 0; t < kNr; ++t) {
-        panel[p * kNr + t] = src[p * ldb + t];
-      }
+    for (std::size_t t = 0; t < kNr; ++t) {
+      acc[r][t] = t < cols ? crow[t] : 0.0f;
+    }
+  }
+  block_fma<Rows>(acc, a, lda, b, ldb, i, p0, p1);
+  for (std::size_t r = 0; r < Rows; ++r) {
+    float* __restrict crow = c + (i + r) * ldc + j;
+#pragma omp simd
+    for (std::size_t t = 0; t < kNr; ++t) {
+      if (t < cols) crow[t] = acc[r][t];
     }
   }
 }
 
-// Row-streaming fallback for edge rows / narrow column tails: C row i,
-// columns [j0, j1), += A row i over k-slice [p0, p1).
-inline void edge_rows(const float* __restrict a, std::size_t lda,
-                      const float* __restrict b, std::size_t ldb,
-                      float* __restrict c, std::size_t ldc, std::size_t i0,
-                      std::size_t i1, std::size_t j0, std::size_t j1,
-                      std::size_t p0, std::size_t p1) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* __restrict arow = a + i * lda;
-    float* __restrict crow = c + i * ldc;
-    for (std::size_t p = p0; p < p1; ++p) {
-      const float av = arow[p];
-      const float* __restrict brow = b + p * ldb;
+// edge_kernel with a run-time row count, rows in {1, 2, 3, 4, kMr}.
+void edge_block(std::size_t rows, const float* a, std::size_t lda,
+                const float* b, std::size_t ldb, float* c, std::size_t ldc,
+                std::size_t i, std::size_t j, std::size_t cols, std::size_t p0,
+                std::size_t p1) {
+  switch (rows) {
+    case 1: return edge_kernel<1>(a, lda, b, ldb, c, ldc, i, j, cols, p0, p1);
+    case 2: return edge_kernel<2>(a, lda, b, ldb, c, ldc, i, j, cols, p0, p1);
+    case 3: return edge_kernel<3>(a, lda, b, ldb, c, ldc, i, j, cols, p0, p1);
+    case 4: return edge_kernel<4>(a, lda, b, ldb, c, ldc, i, j, cols, p0, p1);
+    default:
+      return edge_kernel<kMr>(a, lda, b, ldb, c, ldc, i, j, cols, p0, p1);
+  }
+}
+
+// Repacks the column panels of B (k,n) into panel-major layout: panel q
+// (columns [q*kNr, q*kNr + kNr)) occupies k*kNr contiguous floats, row p at
+// offset q*k*kNr + p*kNr. The kernels then stream B sequentially instead of
+// striding ldb floats per k step (which aliases in L1 for power-of-two n).
+// Columns [q_lo*kNr, n) are packed; the n % kNr tail goes into a final
+// panel whose dead lanes are zero.
+void pack_b_panels(const float* __restrict b, std::size_t ldb, std::size_t k,
+                   std::size_t q_lo, std::size_t n, float* __restrict dst) {
+  for (std::size_t q = q_lo; q * kNr < n; ++q) {
+    float* __restrict panel = dst + (q - q_lo) * k * kNr;
+    const float* __restrict src = b + q * kNr;
+    const std::size_t cols = std::min(kNr, n - q * kNr);
+    for (std::size_t p = 0; p < k; ++p) {
 #pragma omp simd
-      for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
+      for (std::size_t t = 0; t < kNr; ++t) {
+        panel[p * kNr + t] = t < cols ? src[p * ldb + t] : 0.0f;
+      }
     }
   }
 }
@@ -110,43 +159,41 @@ inline void edge_rows(const float* __restrict a, std::size_t lda,
 void gemm_tiled(const float* __restrict a, std::size_t lda,
                 const float* __restrict b, std::size_t ldb, float* __restrict c,
                 std::size_t ldc, std::size_t m, std::size_t k, std::size_t n) {
-  const std::size_t m_main = m - m % kMr;
-  const std::size_t n_main = n - n % kNr;
+  const std::size_t n_full = n / kNr;
+  const std::size_t n_panels = (n + kNr - 1) / kNr;
 
-  // Packing B pays once A has enough rows to reuse each panel.
-  const bool packed = m >= 4 * kMr && n_main > 0;
-  const float* bp = b;
-  if (packed) {
-    if (tl_panels.size() < k * n_main) tl_panels.resize(k * n_main);
-    pack_b_panels(b, ldb, k, n_main, tl_panels.data());
-    bp = tl_panels.data();
+  // Packing the full-width panels pays once A has enough rows to reuse each
+  // one; the zero-padded tail panel is packed whenever n % kNr != 0.
+  const std::size_t q_lo = m >= 4 * kMr ? 0 : n_full;
+  if (q_lo < n_panels) {
+    if (tl_panels.size() < (n_panels - q_lo) * k * kNr) {
+      tl_panels.resize((n_panels - q_lo) * k * kNr);
+    }
+    pack_b_panels(b, ldb, k, q_lo, n, tl_panels.data());
   }
+  const float* panels = tl_panels.data();
 
-  // Rows [0, m_main) in 6-row blocks, then a 4-row block if >= 4 rows
-  // remain; only the final 0-3 rows (and the n % kNr column tail) take the
-  // row-streaming edge path.
-  const std::size_t m_tail4 = (m - m_main >= 4) ? m_main + 4 : m_main;
+  // Rows in 6-row blocks, then a 4-row block if >= 4 rows remain, then the
+  // final 0-3 rows. Full 6- and 4-row blocks of full panels go to
+  // micro_kernel, the column tail and the final rows to edge_kernel.
   for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
     const std::size_t p1 = std::min(k, p0 + kKc);
-    for (std::size_t i = 0; i < m_tail4; i += (i < m_main ? kMr : 4)) {
-      const bool full = i < m_main;
-      for (std::size_t j = 0; j < n_main; j += kNr) {
-        const float* bj = packed ? bp + (j / kNr) * k * kNr : b;
-        const std::size_t ldbj = packed ? kNr : ldb;
-        const std::size_t jb = packed ? 0 : j;
-        if (full) {
-          micro_kernel<kMr>(a, lda, bj, ldbj, jb, c, ldc, i, j, p0, p1);
+    std::size_t rows = 0;
+    for (std::size_t i = 0; i < m; i += rows) {
+      rows = m - i >= kMr ? kMr : (m - i >= 4 ? 4 : m - i);
+      for (std::size_t q = 0; q < n_panels; ++q) {
+        const std::size_t j = q * kNr;
+        const float* bq = q >= q_lo ? panels + (q - q_lo) * k * kNr : b + j;
+        const std::size_t ldbq = q >= q_lo ? kNr : ldb;
+        if (q < n_full && rows == kMr) {
+          micro_kernel<kMr>(a, lda, bq, ldbq, c, ldc, i, j, p0, p1);
+        } else if (q < n_full && rows == 4) {
+          micro_kernel<4>(a, lda, bq, ldbq, c, ldc, i, j, p0, p1);
         } else {
-          micro_kernel<4>(a, lda, bj, ldbj, jb, c, ldc, i, j, p0, p1);
+          edge_block(rows, a, lda, bq, ldbq, c, ldc, i, j,
+                     std::min(kNr, n - j), p0, p1);
         }
       }
-      if (n_main < n) {
-        edge_rows(a, lda, b, ldb, c, ldc, i, i + (full ? kMr : 4), n_main, n,
-                  p0, p1);
-      }
-    }
-    if (m_tail4 < m) {
-      edge_rows(a, lda, b, ldb, c, ldc, m_tail4, m, 0, n, p0, p1);
     }
   }
 }
@@ -225,9 +272,9 @@ void gemm_nt_impl(const float* a, const float* b, float* c, std::size_t m,
         for (std::size_t j = 0; j < n_main; j += kNr) {
           const float* panel = tl_pack.data() + (j / kNr) * k * kNr;
           if (full) {
-            micro_kernel<kMr>(a, k, panel, kNr, 0, c, n, i, j, p0, p1);
+            micro_kernel<kMr>(a, k, panel, kNr, c, n, i, j, p0, p1);
           } else {
-            micro_kernel<4>(a, k, panel, kNr, 0, c, n, i, j, p0, p1);
+            micro_kernel<4>(a, k, panel, kNr, c, n, i, j, p0, p1);
           }
         }
       }
@@ -247,14 +294,15 @@ void gemm_tn_impl(const float* a, const float* b, float* c, std::size_t k,
   if (m == 0 || n == 0) return;
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
   if (k == 0) return;
-  if (m >= 2 * kMr && n >= kNr) {
-    // Pack A^T (k,m -> m,k) so the main kernel streams A rows contiguously.
+  if (m >= 2 * kMr || n < kNr) {
+    // Pack A^T (k,m -> m,k) so the kernels stream A rows contiguously.
     if (tl_pack.size() < k * m) tl_pack.resize(k * m);
     pack_transposed(a, k, m, tl_pack.data());
     gemm_tiled(tl_pack.data(), k, b, n, c, n, m, k, n);
     return;
   }
-  // Small outputs (bias-sized gradients): stream B rows, accumulate into C.
+  // Few output rows of at least one full panel: stream B rows, accumulate
+  // into C.
   for (std::size_t p = 0; p < k; ++p) {
     const float* __restrict arow = a + p * m;
     const float* __restrict brow = b + p * n;

@@ -38,9 +38,11 @@ void gemm_tn_raw(const float* a, const float* b, float* c, std::size_t k,
                  std::size_t m, std::size_t n, bool accumulate);
 
 // Row invariance: for k <= kGemmRowInvariantMaxK (one k tile), every output
-// row of gemm_raw is bitwise the same whatever m is and wherever the row sits
-// in A; rows past that depth may round differently in edge rows. Table
-// evaluation of TextMlp relies on this (tests/test_gemm_kernels.cpp).
+// row of gemm_raw with accumulate == false is bitwise the same whatever m is
+// and wherever the row sits in A. Past that depth a row in a full register
+// block adds per-tile sums to C while a row in an edge block (the final 1-3
+// rows) chains every multiply-add from C, so the two may round differently.
+// Table evaluation of TextMlp relies on this (tests/test_gemm_kernels.cpp).
 inline constexpr std::size_t kGemmRowInvariantMaxK = 256;
 
 // Reference (pre-blocking) scalar kernels. Retained for correctness tests of

@@ -2,6 +2,7 @@
 # CLI hardening matrix: every numeric flag on every tool must reject a
 # malformed value with exit code 2 (usage error) and a one-line
 # "error: ..." diagnostic — never a std::stoi abort (SIGABRT, exit 134).
+# Also checks that `fedtune_pool verify` compares shard files.
 #
 # Usage: cli_flag_matrix.sh BUILD_DIR
 set -u
@@ -10,7 +11,8 @@ build="${1:?usage: cli_flag_matrix.sh BUILD_DIR}"
 ctl="$build/fedtune_ctl"
 loadgen="$build/fedtune_loadgen"
 studyd="$build/fedtune_studyd"
-for bin in "$ctl" "$loadgen" "$studyd"; do
+pool="$build/fedtune_pool"
+for bin in "$ctl" "$loadgen" "$studyd" "$pool"; do
   [ -x "$bin" ] || { echo "missing binary: $bin" >&2; exit 1; }
 done
 
@@ -105,6 +107,31 @@ PY
   wait "$fake_pid" 2>/dev/null
   rm -rf "$sock_dir"
 fi
+
+# `fedtune_pool verify` on shard files: two builds of the same shard are
+# bitwise identical, two different shards are not.
+shard_dir=$(mktemp -d)
+for spec in "1 a" "1 b" "2 c"; do
+  set -- $spec
+  "$pool" build-shard --dataset cifar10-like --configs 4 --num-shards 4 \
+    --shard "$1" --no-params --cache-dir "$shard_dir" \
+    --out "$shard_dir/$2.pool" 2>/dev/null
+done
+if "$pool" verify "$shard_dir/a.pool" "$shard_dir/b.pool" 2>/dev/null; then
+  echo "ok   [pool verify same shard]"
+else
+  echo "FAIL [pool verify same shard]: expected exit 0" >&2
+  fails=$((fails + 1))
+fi
+"$pool" verify "$shard_dir/a.pool" "$shard_dir/c.pool" 2>/dev/null
+rc=$?
+if [ "$rc" -eq 1 ]; then
+  echo "ok   [pool verify different shards]"
+else
+  echo "FAIL [pool verify different shards]: expected exit 1, got $rc" >&2
+  fails=$((fails + 1))
+fi
+rm -rf "$shard_dir"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails flag-matrix case(s) failed" >&2

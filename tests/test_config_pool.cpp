@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <utility>
 
 #include "nn/factory.hpp"
 #include "test_util.hpp"
@@ -303,6 +306,79 @@ TEST(ConfigPoolStandalone, SharedConfigSeedAcrossDatasets) {
   }
   EXPECT_FALSE(a.has_params());
   EXPECT_THROW(a.params(0, 0), std::invalid_argument);
+}
+
+// Wraps a model and records how many of its instances run at once. Under
+// an explicit num_threads every config body trains and evaluates its own
+// instance on one thread, so the peak is the number of config bodies that
+// ran concurrently.
+struct Concurrency {
+  std::atomic<int> active{0};
+  std::atomic<int> peak{0};
+};
+
+class ConcurrencyProbe final : public nn::Model {
+ public:
+  ConcurrencyProbe(std::unique_ptr<nn::Model> inner,
+                   std::shared_ptr<Concurrency> counter)
+      : inner_(std::move(inner)), counter_(std::move(counter)) {}
+
+  std::size_t num_params() const override { return inner_->num_params(); }
+  std::span<float> params() override { return inner_->params(); }
+  std::span<const float> params() const override {
+    return std::as_const(*inner_).params();
+  }
+  std::span<float> grads() override { return inner_->grads(); }
+  void zero_grad() override { inner_->zero_grad(); }
+  void init(Rng& rng) override { inner_->init(rng); }
+  double forward_backward(const data::ClientData& client,
+                          std::span<const std::size_t> idx) override {
+    const Running running(*counter_);
+    return inner_->forward_backward(client, idx);
+  }
+  std::pair<std::size_t, std::size_t> errors(
+      const data::ClientData& client) const override {
+    const Running running(*counter_);
+    return inner_->errors(client);
+  }
+  std::unique_ptr<nn::Model> clone_architecture() const override {
+    return std::make_unique<ConcurrencyProbe>(inner_->clone_architecture(),
+                                              counter_);
+  }
+
+ private:
+  struct Running {
+    explicit Running(Concurrency& c) : c(c) {
+      const int now = c.active.fetch_add(1) + 1;
+      int peak = c.peak.load();
+      while (now > peak && !c.peak.compare_exchange_weak(peak, now)) {
+      }
+    }
+    ~Running() { c.active.fetch_sub(1); }
+    Concurrency& c;
+  };
+
+  std::unique_ptr<nn::Model> inner_;
+  std::shared_ptr<Concurrency> counter_;
+};
+
+TEST(ConfigPoolStandalone, ExplicitNumThreadsCapsConcurrentConfigBodies) {
+  const auto ds = testutil::small_image_dataset();
+  auto counter = std::make_shared<Concurrency>();
+  const ConcurrencyProbe arch(nn::make_default_model(ds), counter);
+  PoolBuildOptions opts;
+  opts.num_configs = 12;
+  opts.checkpoints = {1, 3};
+  opts.num_threads = 2;
+  const ConfigPool pool =
+      ConfigPool::build(ds, arch, hpo::appendix_b_space(), opts);
+  EXPECT_GE(counter->peak.load(), 1);
+  EXPECT_LE(counter->peak.load(), 2) << "build";
+
+  counter->peak.store(0);
+  pool.evaluate_on(arch, ds.eval_clients, {}, /*num_threads=*/2);
+  EXPECT_GE(counter->peak.load(), 1);
+  EXPECT_LE(counter->peak.load(), 2) << "evaluate_on";
 }
 
 }  // namespace

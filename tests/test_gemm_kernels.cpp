@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <tuple>
@@ -162,6 +163,140 @@ TEST(GemmBlocked, OutputRowsInvariantToBatchSizeAndOffset) {
                     0)
               << "k=" << k << " n=" << n << " m=" << m
               << " offset=" << offset;
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------- row-streaming reference --
+// The loops the register-blocked edge kernel replaced, kept verbatim as the
+// bitwise reference: edge_rows (the n % 16 column tail and the final 1-3
+// rows of gemm_raw) and gemm_tn's p-outer streaming loop. Both chain each
+// C element's multiply-adds from its current value, one k step at a time.
+// Full 6- and 4-row blocks of full 16-wide panels sum each 256-deep k tile
+// from zero and then add it to C, modelled here by ref_tile_sum. The block
+// sizes mirror tensor/ops.cpp.
+constexpr std::size_t kMr = 6;
+constexpr std::size_t kNr = 16;
+constexpr std::size_t kKc = ops::kGemmRowInvariantMaxK;
+
+inline void edge_rows(const float* __restrict a, std::size_t lda,
+                      const float* __restrict b, std::size_t ldb,
+                      float* __restrict c, std::size_t ldc, std::size_t i0,
+                      std::size_t i1, std::size_t j0, std::size_t j1,
+                      std::size_t p0, std::size_t p1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const float* __restrict arow = a + i * lda;
+    float* __restrict crow = c + i * ldc;
+    for (std::size_t p = p0; p < p1; ++p) {
+      const float av = arow[p];
+      const float* __restrict brow = b + p * ldb;
+#pragma omp simd
+      for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void ref_tile_sum(const float* a, std::size_t lda, const float* b,
+                  std::size_t ldb, float* c, std::size_t ldc, std::size_t i0,
+                  std::size_t i1, std::size_t j0, std::size_t j1,
+                  std::size_t p0, std::size_t p1) {
+  std::vector<float> acc(j1 - j0);
+  for (std::size_t i = i0; i < i1; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const float av = a[i * lda + p];
+      for (std::size_t j = j0; j < j1; ++j) acc[j - j0] += av * b[p * ldb + j];
+    }
+    for (std::size_t j = j0; j < j1; ++j) c[i * ldc + j] += acc[j - j0];
+  }
+}
+
+void ref_gemm_tiled(const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc, std::size_t m,
+                    std::size_t k, std::size_t n) {
+  const std::size_t m_main = m - m % kMr;
+  const std::size_t n_main = n - n % kNr;
+  const std::size_t m_tail4 = (m - m_main >= 4) ? m_main + 4 : m_main;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t p1 = std::min(k, p0 + kKc);
+    for (std::size_t i = 0; i < m_tail4; i += (i < m_main ? kMr : 4)) {
+      const std::size_t i1 = i + (i < m_main ? kMr : 4);
+      ref_tile_sum(a, lda, b, ldb, c, ldc, i, i1, 0, n_main, p0, p1);
+      edge_rows(a, lda, b, ldb, c, ldc, i, i1, n_main, n, p0, p1);
+    }
+    edge_rows(a, lda, b, ldb, c, ldc, m_tail4, m, 0, n, p0, p1);
+  }
+}
+
+void ref_gemm_raw(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, bool accumulate) {
+  if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
+  ref_gemm_tiled(a, k, b, n, c, n, m, k, n);
+}
+
+void ref_gemm_tn_raw(const float* a, const float* b, float* c, std::size_t k,
+                     std::size_t m, std::size_t n, bool accumulate) {
+  if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
+  if (m >= 2 * kMr && n >= kNr) {
+    std::vector<float> at(m * k);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t i = 0; i < m; ++i) at[i * k + p] = a[p * m + i];
+    }
+    ref_gemm_tiled(at.data(), k, b, n, c, n, m, k, n);
+    return;
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* __restrict arow = a + p * m;
+    const float* __restrict brow = b + p * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      float* __restrict crow = c + i * n;
+#pragma omp simd
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The edge blocks must reproduce the row-streaming loops bit for bit: that
+// is what keeps pools byte-identical. Every m in 1..40 covers the 6-row,
+// 4-row and 1-3-row blocks; n covers every column tail width, with and
+// without full panels; k crosses the 256-deep tile once and twice, so an
+// edge block's chain from C is checked across tiles, on a random non-zero
+// C when accumulating.
+TEST(GemmBlocked, EdgeBlocksMatchRowStreamingReferenceBitwise) {
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
+  for (std::size_t n : {24, 31, 32, 33, 40}) widths.push_back(n);
+  Rng rng(48);
+  for (std::size_t k : {1, 5, 256, 257, 513}) {
+    for (std::size_t n : widths) {
+      const auto b = random_buf(k * n, rng, false);
+      for (std::size_t m = 1; m <= 40; ++m) {
+        const auto a = random_buf(m * k, rng, true);
+        for (bool accumulate : {false, true}) {
+          const auto c0 = random_buf(m * n, rng, false);
+          auto ref = c0;
+          auto got = c0;
+          ref_gemm_raw(a.data(), b.data(), ref.data(), m, k, n, accumulate);
+          ops::gemm_raw(a.data(), b.data(), got.data(), m, k, n, accumulate);
+          ASSERT_TRUE(bitwise_equal(ref, got))
+              << "nn m=" << m << " k=" << k << " n=" << n
+              << " acc=" << accumulate;
+          ref = c0;
+          got = c0;
+          // a read as (k, m): the tn operand of the same size.
+          ref_gemm_tn_raw(a.data(), b.data(), ref.data(), k, m, n, accumulate);
+          ops::gemm_tn_raw(a.data(), b.data(), got.data(), k, m, n, accumulate);
+          ASSERT_TRUE(bitwise_equal(ref, got))
+              << "tn m=" << m << " k=" << k << " n=" << n
+              << " acc=" << accumulate;
         }
       }
     }

@@ -15,9 +15,10 @@
 //       writes the merged monolithic pool (default DIR/NAME.pool).
 //
 //   fedtune_pool verify POOL_A POOL_B
-//       loads two monolithic pool files and checks they are bitwise
-//       identical (configs, error tensors, parameter snapshots). Exit 0 on
-//       match — used to confirm sharded == monolithic from the CLI.
+//       loads two pool files, monolithic or shard, and checks they are
+//       bitwise identical (config range, configs, error tensors, parameter
+//       snapshots). Exit 0 on match — used to confirm sharded ==
+//       monolithic, or that two builds of a shard agree, from the CLI.
 //
 //   fedtune_pool info FILE...
 //       prints each cache file's header: kind (pool/shard/view), magic +
@@ -70,7 +71,8 @@ void print_usage(std::ostream& os) {
         "      validate and splice the N shard files into one pool\n"
         "      (default DIR/NAME.pool).\n"
         "  verify POOL_A POOL_B\n"
-        "      exit 0 iff the two pool files are bitwise identical.\n"
+        "      exit 0 iff the two pool (or shard) files are bitwise\n"
+        "      identical.\n"
         "  info FILE...\n"
         "      print each cache file's header (kind, magic/version, config\n"
         "      range, dataset, checkpoint grid, clients, params).\n"
@@ -237,13 +239,19 @@ int cmd_merge(const Args& args) {
   return 0;
 }
 
+// A monolithic pool file or a shard file; nullopt if it is neither.
+std::optional<core::ConfigPool> load_pool_or_shard(const std::string& path) {
+  auto pool = core::ConfigPool::load(path);
+  return pool.has_value() ? pool : core::ConfigPool::load_shard(path);
+}
+
 int cmd_verify(const Args& args) {
   if (args.positional.size() != 2) {
     std::cerr << "usage: fedtune_pool verify POOL_A POOL_B\n";
     return 2;
   }
-  const auto a = core::ConfigPool::load(args.positional[0]);
-  const auto b = core::ConfigPool::load(args.positional[1]);
+  const auto a = load_pool_or_shard(args.positional[0]);
+  const auto b = load_pool_or_shard(args.positional[1]);
   if (!a.has_value() || !b.has_value()) {
     std::cerr << "error: cannot load "
               << args.positional[a.has_value() ? 1 : 0] << "\n";
@@ -254,6 +262,9 @@ int cmd_verify(const Args& args) {
     return 1;
   };
   if (a->dataset_name() != b->dataset_name()) return fail("dataset name");
+  if (a->shard_lo() != b->shard_lo() || a->shard_hi() != b->shard_hi()) {
+    return fail("config range");
+  }
   if (a->configs() != b->configs()) return fail("config list");
   if (a->view().checkpoints() != b->view().checkpoints()) {
     return fail("checkpoint grid");

@@ -1,23 +1,18 @@
 // SysSim walkthrough — systems heterogeneity as a first-class simulation.
 //
 // Builds a small federated population on a two-tier hardware fleet, then
-// shows (1) what the latency model assigns, (2) how the three participation
-// policies trade staleness and dropped work for wall-clock on the SAME
-// fleet, and (3) the async evaluation pipeline streaming checkpoint errors
-// while training keeps going — identical values to the synchronous
-// evaluator, without the barrier.
+// shows (1) what the latency model assigns and (2) how the three
+// participation policies trade staleness and dropped work for wall-clock on
+// the SAME fleet.
 //
 //   build/example_systems_heterogeneity
 #include <iostream>
-#include <numeric>
-#include <vector>
 
 #include "common/table.hpp"
 #include "data/synth_image.hpp"
 #include "fl/evaluator.hpp"
 #include "fl/trainer.hpp"
 #include "nn/factory.hpp"
-#include "runtime/async_eval.hpp"
 #include "runtime/latency_model.hpp"
 #include "runtime/round_scheduler.hpp"
 
@@ -92,38 +87,7 @@ int main() {
   }
   policies.print(std::cout);
   std::cout << "-> same fleet, same seeds: the policy alone decides how much "
-               "wall-clock a round costs and how stale its gradients are.\n\n";
+               "wall-clock a round costs and how stale its gradients are.\n";
 
-  // Async evaluation: stream checkpoint errors while training continues.
-  fl::FedTrainer trainer(ds, *arch, hps, {}, Rng(31));
-  runtime::AsyncEvalOptions eval_opts;
-  eval_opts.stream_path = "syssim_eval_stream.txt";
-  runtime::AsyncEvalPipeline pipeline(*arch, ds.eval_clients, eval_opts);
-  for (std::size_t round = 1; round <= 9; ++round) {
-    trainer.run_round();
-    if (round % 3 == 0) {
-      // Snapshot goes to the pipeline; the next round trains immediately.
-      pipeline.submit(round, round, trainer.global_params());
-    }
-  }
-  std::vector<std::size_t> all_eval(ds.eval_clients.size());
-  std::iota(all_eval.begin(), all_eval.end(), std::size_t{0});
-  Table evals({"checkpoint_rounds", "streamed_full_error"});
-  for (const auto& r : pipeline.results()) {
-    evals.add_row({std::to_string(r.rounds),
-                   Table::format(100.0 * fl::aggregate_error(
-                                             r.errors, ds.eval_clients,
-                                             all_eval,
-                                             fl::Weighting::kByExampleCount))});
-  }
-  evals.print(std::cout);
-  // The last streamed checkpoint IS the current model — the barrier-free
-  // path produced exactly the synchronous answer.
-  std::cout << "streamed " << pipeline.completed()
-            << " checkpoints to syssim_eval_stream.txt while training ran; "
-               "synchronous full error of the final model: "
-            << Table::format(100.0 * fl::full_validation_error(trainer.model(),
-                                                               ds))
-            << "%\n";
   return 0;
 }

@@ -23,9 +23,9 @@
 // Durability: every append reaches the OS as one whole frame before the
 // service acknowledges the step — durable across PROCESS crashes, the
 // contract the tests and CI enforce. sync_on_commit adds an fsync per frame
-// for machine crashes (bench/bench_micro_substrate.cpp prices it). A failed
-// append heals to the durable boundary before it rethrows IoError, so the
-// study layer's retry/quarantine ladder can simply retry.
+// for machine crashes. A failed append heals to the durable boundary before
+// it rethrows IoError, so the study layer's retry/quarantine ladder can
+// simply retry.
 #pragma once
 
 #include <cstdint>

@@ -319,8 +319,7 @@ void gemm_tn_impl(const float* a, const float* b, float* c, std::size_t k,
 
 // ------------------------------------------------------ reference kernels --
 // The original scalar loops, retained verbatim as the correctness reference
-// for the blocked kernels and as the "before" side of the substrate
-// microbenchmark. Not used on any hot path.
+// for the blocked kernels (tests only; the library never calls them).
 
 void gemm_naive_raw(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, bool accumulate) {

@@ -45,9 +45,9 @@ void gemm_tn_raw(const float* a, const float* b, float* c, std::size_t k,
 // Table evaluation of TextMlp relies on this (tests/test_gemm_kernels.cpp).
 inline constexpr std::size_t kGemmRowInvariantMaxK = 256;
 
-// Reference (pre-blocking) scalar kernels. Retained for correctness tests of
-// the blocked kernels and as the "before" baseline in the substrate
-// microbenchmark — never called on a hot path.
+// Reference (pre-blocking) scalar kernels: the correctness reference of the
+// blocked kernels in tests/test_gemm_kernels.cpp, never called by the
+// library itself.
 void gemm_naive_raw(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, bool accumulate);
 void gemm_nt_naive_raw(const float* a, const float* b, float* c, std::size_t m,

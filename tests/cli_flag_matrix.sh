@@ -44,6 +44,7 @@ ctl_num_flags="--tenant --timeout"
 loadgen_num_flags="--tenants --studies --trials --timeout"
 studyd_num_flags="--pool-configs --rounds-per-slice --max-studies \
   --quota-studies --quota-fps --quota-burst --max-write-queue --repl-tenant"
+pool_num_flags="--shard --num-shards --configs"
 
 # Every malformed shape a flag can see: non-numeric, trailing junk,
 # negative (a bare stoull would silently wrap it to 2^64-1), empty.
@@ -60,15 +61,23 @@ for val in banana 12x -1 ""; do
     expect_usage_error "studyd $flag=$val" -- \
       "$studyd" --socket /tmp/nope.sock "$flag" "$val"
   done
+  for flag in $pool_num_flags; do
+    expect_usage_error "pool $flag=$val" -- \
+      "$pool" build-shard --dataset cifar10-like --cache-dir /tmp/nope \
+      "$flag" "$val"
+  done
 done
 
 # Malformed endpoint specs go through the same guarded path.
 expect_usage_error "ctl --tcp bad port" -- "$ctl" --tcp 127.0.0.1:banana ping
+expect_usage_error "ctl --tcp trailing junk" -- "$ctl" --tcp 127.0.0.1:1x ping
 expect_usage_error "loadgen --tcp no port" -- "$loadgen" --tcp 127.0.0.1
 expect_usage_error "loadgen --failover bad" -- \
   "$loadgen" --tcp 127.0.0.1:1 --failover 127.0.0.1:0x50
 expect_usage_error "studyd --tcp bad port" -- \
   "$studyd" --tcp 127.0.0.1:99999999
+expect_usage_error "studyd --tcp trailing junk" -- \
+  "$studyd" --tcp 127.0.0.1:0x
 expect_usage_error "ctl wait bad timeout" -- \
   "$ctl" --socket /tmp/nope.sock wait s banana
 

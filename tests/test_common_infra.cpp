@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "common/serialize.hpp"
 #include "common/table.hpp"
@@ -117,6 +121,50 @@ TEST(ThreadPool, SlotsIndexPrivateScratchWithoutRaces) {
   long total = 0;
   for (long v : per_slot) total += v;
   EXPECT_EQ(total, 2000L * 1999L / 2L);
+}
+
+TEST(ThreadPool, SubmitRethrowsAndRunsNestedLoopsToCompletion) {
+  // A pool without workers runs the task on the caller before returning.
+  {
+    ThreadPool pool(1);
+    std::thread::id ran_on;
+    std::future<void> done =
+        pool.submit([&] { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(done.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    done.get();
+  }
+
+  struct TaskError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  ThreadPool pool(2);
+  // The one worker runs the task, so no other thread can help with the
+  // task's own loop: it must claim every chunk itself and still finish.
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<bool> off_task_thread{false};
+  std::atomic<bool> nested_inline{false};
+  pool.submit([&] {
+        nested_inline.store(ThreadPool::in_parallel_region());
+        const std::thread::id task_thread = std::this_thread::get_id();
+        pool.parallel_for(hits.size(), [&](std::size_t i) {
+          if (std::this_thread::get_id() != task_thread) {
+            off_task_thread.store(true);
+          }
+          hits[i].fetch_add(1);
+        });
+      })
+      .get();
+  EXPECT_FALSE(nested_inline.load());
+  EXPECT_FALSE(off_task_thread.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  std::future<void> failed = pool.submit([] { throw TaskError("task"); });
+  EXPECT_THROW(failed.get(), TaskError);
+  std::atomic<int> count{0};
+  pool.submit([&] { count.fetch_add(1); }).get();
+  pool.parallel_for(8, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 9);
 }
 
 TEST(Table, AddRowValuesFormatsAndValidates) {

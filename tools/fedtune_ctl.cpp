@@ -173,21 +173,11 @@ int run(int argc, char** argv) {
     } else if (a == "--tcp") {
       const std::string spec = next();
       const std::size_t colon = spec.rfind(':');
-      int port = -1;
-      try {
-        if (colon != std::string::npos) {
-          ep.host = spec.substr(0, colon);
-          port = std::stoi(spec.substr(colon + 1));
-        }
-      } catch (const std::exception&) {
-        port = -1;
+      if (colon == std::string::npos || colon == 0) {
+        fedtune::tools::flag_value_error(a, spec, "HOST:PORT");
       }
-      if (port < 0 || port > 65535 || ep.host.empty()) {
-        std::cerr << "error: bad --tcp spec '" << spec
-                  << "' (want HOST:PORT)\n";
-        return 2;
-      }
-      ep.port = static_cast<std::uint16_t>(port);
+      ep.host = spec.substr(0, colon);
+      ep.port = fedtune::tools::parse_port_flag(a, spec.substr(colon + 1));
     } else if (a == "--cluster") {
       cluster_file = next();
     } else if (a == "--tenant") {

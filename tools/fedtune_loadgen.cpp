@@ -46,6 +46,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "flag_parse.hpp"
@@ -580,24 +581,6 @@ int usage(int rc) {
   return rc;
 }
 
-// "HOST:PORT" with a strictly numeric non-zero port.
-bool parse_hostport(const std::string& spec, std::string* host,
-                    std::uint16_t* port) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  const std::string digits = spec.substr(colon + 1);
-  if (digits.empty() || digits.size() > 5) return false;
-  unsigned long p = 0;
-  for (const char ch : digits) {
-    if (ch < '0' || ch > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(ch - '0');
-  }
-  if (p == 0 || p > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -612,19 +595,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--tcp") {
-      const std::string spec = next();
-      if (!parse_hostport(spec, &opts.target.host, &opts.target.port)) {
-        std::cerr << "error: bad --tcp spec '" << spec
-                  << "' (want HOST:PORT)\n";
-        return 2;
-      }
+      std::tie(opts.target.host, opts.target.port) =
+          tools::parse_hostport_flag(a, next());
     } else if (a == "--failover") {
-      const std::string spec = next();
-      if (!parse_hostport(spec, &opts.failover.host, &opts.failover.port)) {
-        std::cerr << "error: bad --failover spec '" << spec
-                  << "' (want HOST:PORT)\n";
-        return 2;
-      }
+      std::tie(opts.failover.host, opts.failover.port) =
+          tools::parse_hostport_flag(a, next());
     } else if (a == "--socket") {
       opts.target.unix_path = next();
     } else if (a == "--tenants") {

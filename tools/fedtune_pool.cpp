@@ -36,6 +36,7 @@
 
 #include "core/config_pool.hpp"
 #include "data/benchmarks.hpp"
+#include "flag_parse.hpp"
 #include "hpo/search_space.hpp"
 #include "nn/factory.hpp"
 #include "sim/pool_hub.hpp"
@@ -106,15 +107,15 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--shard") {
       const auto v = next("--shard");
       if (!v) return false;
-      args.shard = std::stoul(*v);
+      args.shard = tools::parse_size_flag(a, *v);
     } else if (a == "--num-shards") {
       const auto v = next("--num-shards");
       if (!v) return false;
-      args.num_shards = std::stoul(*v);
+      args.num_shards = tools::parse_size_flag(a, *v);
     } else if (a == "--configs") {
       const auto v = next("--configs");
       if (!v) return false;
-      args.configs = std::stoul(*v);
+      args.configs = tools::parse_size_flag(a, *v);
     } else if (a == "--cache-dir") {
       const auto v = next("--cache-dir");
       if (!v) return false;
@@ -375,8 +376,6 @@ int main(int argc, char** argv) {
   }
   try {
     Args args;
-    // Inside the try: stoul on malformed numeric flags must exit with the
-    // error path, not std::terminate.
     if (!parse_args(argc - 2, argv + 2, args)) return 2;
     if (args.help) {
       print_usage(std::cout);

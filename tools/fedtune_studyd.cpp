@@ -40,7 +40,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,23 +147,6 @@ int usage(int rc) {
   return rc;
 }
 
-// "HOST:PORT" with a strictly numeric port; nullopt on anything else.
-std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(
-    const std::string& spec) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0) return std::nullopt;
-  const std::string host = spec.substr(0, colon);
-  const std::string digits = spec.substr(colon + 1);
-  if (digits.empty() || digits.size() > 5) return std::nullopt;
-  unsigned long port = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    port = port * 10 + static_cast<unsigned long>(c - '0');
-  }
-  if (port == 0 || port > 65535) return std::nullopt;
-  return std::make_pair(host, static_cast<std::uint16_t>(port));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -186,22 +168,10 @@ int main(int argc, char** argv) {
       // [HOST:]PORT; port 0 binds an ephemeral port (see --port-file).
       const std::string spec = next();
       const std::size_t colon = spec.rfind(':');
-      try {
-        if (colon == std::string::npos) {
-          args.tcp_port = std::stoi(spec);
-        } else {
-          args.tcp_host = spec.substr(0, colon);
-          args.tcp_port = std::stoi(spec.substr(colon + 1));
-        }
-      } catch (const std::exception&) {
-        args.tcp_port = -1;
-      }
-      if (args.tcp_port < 0 || args.tcp_port > 65535 ||
-          args.tcp_host.empty()) {
-        std::cerr << "error: bad --tcp spec '" << spec
-                  << "' (want [HOST:]PORT)\n";
-        return 2;
-      }
+      if (colon == 0) tools::flag_value_error(a, spec, "[HOST:]PORT");
+      if (colon != std::string::npos) args.tcp_host = spec.substr(0, colon);
+      args.tcp_port = tools::parse_port_flag(
+          a, colon == std::string::npos ? spec : spec.substr(colon + 1));
     } else if (a == "--port-file") {
       args.port_file = next();
     } else if (a == "--journal-dir") {
@@ -309,15 +279,11 @@ int main(int argc, char** argv) {
         // Ad-hoc two-node mode: everything this instance serves replicates
         // to --peer, whatever the hash says — the synthesized two-member
         // roster makes replica_target() always answer "the other one".
-        const auto ep = parse_endpoint(args.peer);
-        if (!ep.has_value()) {
-          std::cerr << "error: bad --peer '" << args.peer
-                    << "' (want HOST:PORT)\n";
-          return 2;
-        }
+        const auto [peer_host, peer_port] =
+            tools::parse_hostport_flag("--peer", args.peer);
         cluster_self = "self";
         roster = cluster::Roster(std::vector<cluster::ClusterMember>{
-            {"peer", ep->first, ep->second}, {"self", "127.0.0.1", 0}});
+            {"peer", peer_host, peer_port}, {"self", "127.0.0.1", 0}});
       }
       replicas =
           std::make_unique<cluster::ReplicaStore>(args.opts.journal_dir);

@@ -5,7 +5,7 @@
 // and silently accepts garbage like `--timeout 5s` (partial parse) or
 // `--tenant -1` (stoull wraps negatives). These helpers accept exactly the
 // full token or print `error: FLAG expects ...` and exit with the usage
-// code 2 — the same contract fedtune_pool's parse path established.
+// code 2, like every other usage error.
 #pragma once
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace fedtune::tools {
 
@@ -44,6 +45,32 @@ inline unsigned long long parse_u64_flag(const std::string& flag,
 inline std::size_t parse_size_flag(const std::string& flag,
                                    const std::string& value) {
   return static_cast<std::size_t>(parse_u64_flag(flag, value));
+}
+
+// TCP port: 1-5 digits, the full token, at most 65535. Whether port 0 (an
+// ephemeral port) is acceptable is the caller's rule.
+inline std::uint16_t parse_port_flag(const std::string& flag,
+                                     const std::string& digits) {
+  const bool digits_only =
+      !digits.empty() && digits.size() <= 5 &&
+      digits.find_first_not_of("0123456789") == std::string::npos;
+  const unsigned long port = digits_only ? std::stoul(digits) : 65536;
+  if (port > 65535) flag_value_error(flag, digits, "a port 0-65535");
+  return static_cast<std::uint16_t>(port);
+}
+
+// "HOST:PORT" of a peer to connect to: a non-empty host and a non-zero port.
+inline std::pair<std::string, std::uint16_t> parse_hostport_flag(
+    const std::string& flag, const std::string& spec) {
+  const std::size_t colon = spec.rfind(':');
+  const std::uint16_t port =
+      colon == std::string::npos
+          ? 0
+          : parse_port_flag(flag, spec.substr(colon + 1));
+  if (colon == 0 || port == 0) {
+    flag_value_error(flag, spec, "HOST:PORT with a non-zero port");
+  }
+  return {spec.substr(0, colon), port};
 }
 
 // Finite non-negative decimal number; the full token must parse. Every
